@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test benchsmoke bench-fastpath bench-incremental bench-warmstart bench-sharding bench-elastic bench-parallel bench-durability bench-dstd bench-serve docs-lint bench golden
+.PHONY: test benchsmoke bench-fastpath bench-incremental bench-warmstart bench-elastic bench-parallel bench-durability bench-dstd bench-serve docs-lint bench golden e2e-smoke
 
 # Tier-1 verification (the command CI runs).
 test:
@@ -24,11 +24,8 @@ bench-incremental:
 bench-warmstart:
 	$(PYTHON) -m pytest -q benchmarks/bench_warmstart.py
 
-# Sharded engine vs single-shard epochs; writes BENCH_sharding.json.
-bench-sharding:
-	$(PYTHON) -m pytest -q benchmarks/bench_sharding.py
-
-# Elastic diff shipping vs full state re-ship; writes BENCH_elastic.json.
+# Sharded engine: diff shipping vs full state re-ship, static vs
+# rebalanced topology; writes BENCH_elastic.json.
 bench-elastic:
 	$(PYTHON) -m pytest -q benchmarks/bench_elastic.py
 
@@ -50,6 +47,11 @@ bench-dstd:
 # writes BENCH_serve.json.
 bench-serve:
 	$(PYTHON) -m pytest -q benchmarks/bench_serve.py
+
+# Smoke test of the end-to-end benchmark (benchmarks/e2e, BENCHMARK.json):
+# catches a broken benchmark-facing name before the perf gate does.
+e2e-smoke:
+	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Docstring lint: engine-era packages + benchmarks/ + examples/ (CI runs
 # this; the default target set lives in tools/docs_lint.py).

@@ -1,4 +1,4 @@
-"""Elastic shard residency — diff shipping vs full state re-ship.
+"""The sharded engine — diff shipping vs full state re-ship, static vs rebalanced.
 
 The headline claim (recorded in ``BENCH_elastic.json`` at the repo
 root): on a marching-population workload — a dense worker cohort walking
@@ -26,8 +26,11 @@ The table decomposes the claim honestly:
   the row also records how many split/merge/migrate reshapes the
   marching load provoked and what the resync fallback cost (zero unless
   a resident drifted).
+* ``elastic-4/static`` — the same diff-shipping residents on the static
+  tiling (``rebalance=None``): the recorded number for a topology that
+  never reshapes, so the marching load stays wherever the blocks put it.
 
-Both elastic rows run the same deterministic rebalance policy, so the
+The two policy rows run the same deterministic rebalance policy, so the
 reshape trajectories — and therefore the plans — are identical; the only
 difference is what crosses the shard boundary each epoch.
 """
@@ -219,11 +222,12 @@ def run_elastic_experiment(
             min_workers=max(4, num_workers // 200),
         )
 
-    def elastic(diff_shipping):
+    def elastic(diff_shipping, rebalance=True):
         return ElasticShardedAssignmentEngine(
             solver=GreedySolver(), eta=eta, rng=solver_seed,
             num_shards=4, halo=halo, executor="sequential",
-            rebalance=policy(), diff_shipping=diff_shipping,
+            rebalance=policy() if rebalance else None,
+            diff_shipping=diff_shipping,
             solve_mode=solve_mode,
         )
 
@@ -233,6 +237,7 @@ def run_elastic_experiment(
             solve_mode=solve_mode)),
         ("elastic-4/full-reship", lambda: elastic(False)),
         ("elastic-4/diff", lambda: elastic(True)),
+        ("elastic-4/static", lambda: elastic(True, rebalance=False)),
     ]
 
     rows = []

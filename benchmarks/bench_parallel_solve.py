@@ -6,15 +6,12 @@ instance re-planned with a 512-sample SAMPLING solve under light movement
 churn, the regime where per-epoch *solve* time dominates everything the
 previous PRs already made incremental — the parallel solve subsystem at
 **4 processes** delivers **>= 2x the epoch-solve throughput** of the
-status-quo serial solver, with a decomposition that shows where the win
-comes from, honestly:
+serial solver, with a decomposition that shows where the win comes from,
+honestly:
 
-* ``sampling/serial`` — the baseline: the legacy shared-stream SAMPLING
-  solve, one sample drawn and scored at a time (how every engine solved
-  before this subsystem).
-* ``sampling/substream`` — the new substream determinism contract, still
-  serial and unchunked: per-sample child generators cost about the same,
-  they just stop coupling samples together.
+* ``sampling/substream`` — the baseline: the serial, unchunked SAMPLING
+  solve, one sample drawn (from its own substream child generator) and
+  scored at a time.
 * ``sampling/chunked`` — the executor with ``processes=0``: the same
   chunked scoring the worker processes run, inline.  The gap to
   ``substream`` is the :class:`repro.engine.parallel.SampleChunkScorer`
@@ -31,11 +28,8 @@ comes from, honestly:
   throughput: typical rounds are far below the fan-out threshold, so the
   row mostly measures that the batching layer costs nothing.
 
-Every sampling row under the substream contract must report bit-identical
-per-epoch objectives (asserted), and both greedy rows must match each
-other exactly; the legacy baseline row plays by its own (old) draw order
-and is asserted *different* — that is the point of the versioned
-contract.
+Every sampling row must report bit-identical per-epoch objectives
+(asserted), and both greedy rows must match each other exactly.
 """
 
 import json
@@ -45,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.algorithms import GreedySolver, SamplingSolver
-from repro.algorithms.sampling import SHARED_STREAM_V0
 from repro.datagen import ExperimentConfig, generate_tasks, generate_workers
 from repro.engine import AssignmentEngine, ParallelSolveExecutor, WorkerUpdate
 from repro.geometry.points import Point
@@ -142,13 +135,9 @@ def run_parallel_solve_experiment(
             solver=solver(), rng=solver_seed, solve_executor=solve_executor
         )
 
-    legacy = lambda: SamplingSolver(
-        num_samples=num_samples, rng_contract=SHARED_STREAM_V0
-    )
     substream = lambda: SamplingSolver(num_samples=num_samples)
 
     modes = [
-        ("sampling/serial", "baseline", engine_with(legacy)),
         ("sampling/substream", "substream", engine_with(substream)),
         (
             "sampling/chunked",
@@ -184,15 +173,10 @@ def run_parallel_solve_experiment(
                 raise AssertionError(f"{label}: objectives diverged across repeats")
             for key in ("epoch_seconds", "solve_seconds"):
                 outcome[key] = min(outcome[key], again[key])
-        if group in ("substream", "greedy"):
-            reference = references.setdefault(group, outcome["objectives"])
-            if outcome["objectives"] != reference:
-                raise AssertionError(f"{label}: objectives diverged from {group}")
-        if label == "sampling/serial":
-            # The legacy row is the timing baseline only: its objectives
-            # follow the old draw order and are *expected* to differ from
-            # the substream rows' (the golden fixture pins both contracts;
-            # at tiny smoke scales the winners can still coincide).
+        reference = references.setdefault(group, outcome["objectives"])
+        if outcome["objectives"] != reference:
+            raise AssertionError(f"{label}: objectives diverged from {group}")
+        if label == "sampling/substream":
             baseline_solve = outcome["solve_seconds"]
         rows.append(
             {
@@ -250,7 +234,7 @@ def test_parallel_solve_speedup(benchmark, show):
 
     headline = next(row for row in rows if row["mode"] == "sampling/parallel-4")
     # The acceptance bar: >= 2x epoch-solve throughput at 4 processes on
-    # the sampling-heavy workload, against the status-quo serial solve.
+    # the sampling-heavy workload, against the serial unchunked solve.
     assert headline["solve_speedup_vs_serial"] >= 2.0
     assert RESULT_PATH.exists()
 

@@ -1,15 +1,16 @@
-"""A drifting population on resident elastic shards.
+"""A drifting population on the sharded engine: static tiling, then elastic.
 
 A worker cohort marches across the unit square over a static background
 fleet, dragging load from shard block to shard block.  The same typed
-event script is replayed three times: through the single-grid
-``AssignmentEngine`` (the bit-identity reference), and through
-``ElasticShardedAssignmentEngine`` at four shards with diff shipping
-off (every epoch re-ships each resident's full sub-problem) and on
-(residents advance by O(delta) ``ShardDiff`` packets).  Both elastic
-runs share a live ``RebalancePolicy``, so the script also shows the
-split/merge/migrate reshapes the marching load provokes — WAL-loggable,
-plan-invisible — and the shipped-bytes gap residency buys.
+event script is replayed four times: through the single-grid
+``AssignmentEngine`` (the bit-identity reference), then through
+``ElasticShardedAssignmentEngine`` at four shards — first on its static
+tiling (``rebalance=None``: the blocks never move, the load lands where
+it lands), then under a live ``RebalancePolicy`` with diff shipping off
+(every epoch re-ships each resident's full sub-problem) and on
+(residents advance by O(delta) ``ShardDiff`` packets).  The script shows
+the split/merge/migrate reshapes the marching load provokes —
+WAL-loggable, plan-invisible — and the shipped-bytes gap residency buys.
 
 Run with ``PYTHONPATH=src python examples/elastic_session.py``.
 """
@@ -101,19 +102,22 @@ def main():
         f"a {COHORT}-worker cohort marching {STRIDE} per epoch\n"
     )
 
-    def elastic(diff_shipping):
+    def sharded(diff_shipping=True, rebalance=None):
         return ElasticShardedAssignmentEngine(
             solver=GreedySolver(), eta=0.08, rng=3, num_shards=4,
-            rebalance=RebalancePolicy(every=2, imbalance=1.3, min_workers=10),
-            diff_shipping=diff_shipping,
+            rebalance=rebalance, diff_shipping=diff_shipping,
         )
+
+    def policy():
+        return RebalancePolicy(every=2, imbalance=1.3, min_workers=10)
 
     rows = []
     for label, make_engine in (
         ("single engine", lambda: AssignmentEngine(
             solver=GreedySolver(), eta=0.08, rng=3)),
-        ("elastic x4, full re-ship", lambda: elastic(False)),
-        ("elastic x4, diff shipping", lambda: elastic(True)),
+        ("static x4, diff shipping", sharded),
+        ("elastic x4, full re-ship", lambda: sharded(False, policy())),
+        ("elastic x4, diff shipping", lambda: sharded(True, policy())),
     ):
         seconds, objectives, stats = replay(make_engine(), tasks, workers, script)
         rows.append((label, seconds, objectives, stats))
@@ -134,7 +138,7 @@ def main():
         )
         print(f"{label:>26} | {EPOCHS / seconds:9.2f} | {shipped:>10} | {reshapes}")
 
-    diff_stats = rows[2][3]
+    diff_stats = rows[3][3]
     print(
         f"\nDiff shipping moved {diff_stats['diff_bytes'] / 1e3:.1f}kB where "
         f"full re-ship moves {diff_stats['full_bytes'] / 1e3:.1f}kB "

@@ -8,31 +8,25 @@ best dominance rank — the skyline member dominating the most other samples,
 exactly the paper's [22]-style tie-break for when no sample dominates all
 others.
 
-**Determinism contracts.**  How the ``K`` draws consume randomness is an
-explicit, versioned contract (:data:`SUBSTREAM_V1` /
-:data:`SHARED_STREAM_V0`):
-
-* ``"substream-v1"`` (the default) draws **one** base seed from the
-  caller's generator and then gives sample ``i`` its *own* child generator,
-  spawned deterministically as ``SeedSequence(base, spawn_key=(i,))``.
-  Sample ``i`` therefore depends only on ``(base, i)`` — never on how many
-  samples preceded it, which process drew it, or how a pool chunked the
-  batch — so the solved plan is bit-identical at every pool size (serial,
-  and fanned out across any number of executor processes).  This is the
-  contract the parallel solve subsystem (:mod:`repro.engine.parallel`)
-  requires.
-* ``"shared-v0"`` is the legacy behaviour: all samples consume one shared
-  generator stream in draw order.  It is kept behind the flag for
-  reproducing pre-substream results; it cannot be fanned out (sample ``i``
-  depends on every draw before it).
+**Determinism contract.**  How the ``K`` draws consume randomness is an
+explicit, versioned contract (:data:`SUBSTREAM_V1`, recorded in durable
+logs so a log written under any other draw order fails its restore-time
+fingerprint check): a solve draws **one** base seed from the caller's
+generator and then gives sample ``i`` its *own* child generator, spawned
+deterministically as ``SeedSequence(base, spawn_key=(i,))``.  Sample
+``i`` therefore depends only on ``(base, i)`` — never on how many samples
+preceded it, which process drew it, or how a pool chunked the batch — so
+the solved plan is bit-identical at every pool size (serial, and fanned
+out across any number of executor processes).  This is the contract the
+parallel solve subsystem (:mod:`repro.engine.parallel`) requires.
 
 With ``backend="numpy"`` each sample's per-worker choices are drawn in one
 bounded-``integers`` call over a flattened candidate table instead of a
 Python loop.  NumPy's ``Generator.integers`` consumes the bit stream
 identically for an array of bounds and for element-wise scalar calls, so
 the drawn samples — and therefore the returned assignment — are identical
-to the python backend for the same seed and contract (pinned by the
-differential test suite).
+to the python backend for the same seed (pinned by the differential
+test suite).
 """
 
 from __future__ import annotations
@@ -56,13 +50,6 @@ from repro.skyline.dominance import best_index_by_dominance
 #: The substream determinism contract (see the module docstring): one base
 #: seed per solve, per-sample child generators, pool-size-independent plans.
 SUBSTREAM_V1 = "substream-v1"
-
-#: The legacy shared-stream contract: all samples consume one generator in
-#: draw order.  Serial-only; kept for reproducing pre-substream results.
-SHARED_STREAM_V0 = "shared-v0"
-
-#: Contracts a :class:`SamplingSolver` accepts.
-RNG_CONTRACTS = (SUBSTREAM_V1, SHARED_STREAM_V0)
 
 #: Exclusive upper bound of the base-seed draw — the full non-negative
 #: ``int64`` range, so one ``integers`` call advances the caller's stream
@@ -145,14 +132,11 @@ class SamplingSolver(Solver):
         backend: ``"python"`` draws each worker's choice in a loop;
             ``"numpy"`` draws a whole sample at once (same RNG stream,
             identical samples).
-        rng_contract: :data:`SUBSTREAM_V1` (default — per-sample child
-            generators, pool-size-independent plans) or
-            :data:`SHARED_STREAM_V0` (legacy shared stream, serial only).
         executor: optional sample fan-out executor (duck-typed to
             :class:`repro.engine.parallel.ParallelSampleExecutor`); when
             set, substream sample batches are evaluated through it instead
-            of the in-line loop.  Requires the substream contract.  The
-            engine attaches this via its ``solve_executor`` knob.
+            of the in-line loop.  The engine attaches this via its
+            ``solve_executor`` knob.
     """
 
     name = "SAMPLING"
@@ -162,20 +146,13 @@ class SamplingSolver(Solver):
         plan: Optional[SamplePlan] = None,
         num_samples: Optional[int] = None,
         backend: str = "python",
-        rng_contract: str = SUBSTREAM_V1,
         executor=None,
     ) -> None:
         if backend not in ("python", "numpy"):
             raise ValueError(f"unknown backend {backend!r}")
-        if rng_contract not in RNG_CONTRACTS:
-            raise ValueError(
-                f"unknown rng_contract {rng_contract!r}; expected one of "
-                f"{RNG_CONTRACTS}"
-            )
         self.plan = plan if plan is not None else SamplePlan()
         self.num_samples = num_samples
         self.backend = backend
-        self.rng_contract = rng_contract
         self.executor = executor
 
     def resolve_sample_count(self, problem: RdbscProblem) -> int:
@@ -211,22 +188,15 @@ class SamplingSolver(Solver):
         generator: np.random.Generator,
         count: int,
     ) -> SamplePool:
-        """Draw and score ``count`` samples under the active contract.
+        """Draw and score ``count`` samples under :data:`SUBSTREAM_V1`.
 
         The core of :meth:`solve`, shared with the warm-start wrapper
         (:class:`repro.solvers.incremental.WarmStartSamplingSolver`) so
         warm and full solves consume randomness identically: for equal
         generator state, sample ``i`` here is bit-identical to sample
-        ``i`` of :meth:`solve` — on either backend, and (under the
-        substream contract) at any executor pool size.
+        ``i`` of :meth:`solve` — on either backend, and at any executor
+        pool size.
         """
-        if self.rng_contract == SHARED_STREAM_V0:
-            if self.executor is not None:
-                raise ValueError(
-                    "sample fan-out requires the substream contract; "
-                    "rng_contract='shared-v0' solvers must run serially"
-                )
-            return self._shared_stream_pool(problem, generator, count)
         base_seed = substream_base_seed(generator)
         if self.executor is not None:
             scores = self.executor.scored_sample_chunks(problem, base_seed, count)
@@ -250,25 +220,6 @@ class SamplingSolver(Solver):
             assignment = self._draw_one(
                 problem, table, substream_rng(base_seed, index)
             )
-            value = evaluate_assignment(problem, assignment)
-            samples.append(assignment)
-            scores.append((value.min_reliability, value.total_std))
-        return SamplePool(scores, samples=samples)
-
-    def _shared_stream_pool(
-        self,
-        problem: RdbscProblem,
-        generator: np.random.Generator,
-        count: int,
-    ) -> SamplePool:
-        """The legacy draw loop: all samples off one shared stream."""
-        table = (
-            CandidateTable.from_problem(problem) if self.backend == "numpy" else None
-        )
-        samples: List[Assignment] = []
-        scores: List[Tuple[float, float]] = []
-        for _ in range(count):
-            assignment = self._draw_one(problem, table, generator)
             value = evaluate_assignment(problem, assignment)
             samples.append(assignment)
             scores.append((value.min_reliability, value.total_std))

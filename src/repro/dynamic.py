@@ -90,8 +90,9 @@ class CrowdsourcingSession:
         warm_churn_threshold: churn fraction above which a warm-mode
             ``reassign`` falls back to a full solve.
         num_shards: with a value above 1 the session runs on a
-            :class:`repro.engine.sharding.ShardedAssignmentEngine` — the
-            grid is partitioned into ``num_shards`` cell blocks and each
+            :class:`repro.engine.elastic.ElasticShardedAssignmentEngine`
+            on its static tiling (``rebalance=None``) — the grid is
+            partitioned into ``num_shards`` cell blocks and each
             ``reassign`` fans the index work out per shard.  Assignments
             are bit-identical to the unsharded session.
         halo: task-replication radius for the sharded engine (``None``
@@ -132,9 +133,9 @@ class CrowdsourcingSession:
         durable_snapshot_every: int = 16,
     ) -> None:
         if num_shards > 1:
-            from repro.engine.sharding import ShardedAssignmentEngine
+            from repro.engine.elastic import ElasticShardedAssignmentEngine
 
-            self.engine: AssignmentEngine = ShardedAssignmentEngine(
+            self.engine: AssignmentEngine = ElasticShardedAssignmentEngine(
                 solver=solver,
                 eta=eta,
                 validity=validity,

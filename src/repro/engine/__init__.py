@@ -24,19 +24,20 @@ not O(m * n) rebuilds.  This package is that machinery:
     ``durable_path=`` knob) and :func:`restore_engine` (snapshot + tail
     replay, reproducing the live per-epoch plans bit-exactly).
 ``sharding``
-    :class:`ShardedAssignmentEngine` — the same engine with its index
-    partitioned into rectangular cell blocks (:class:`ShardMap` with a
-    halo wide enough for the validity radius) and epochs fanned out
-    across an in-process or process-pool executor; merged plans are
-    bit-identical to the single-shard engine.
+    :class:`ShardMap` — the shard topology: the grid partitioned into
+    rectangular cell blocks (worker to its cell's owner, task replicated
+    within a halo wide enough for the validity radius), reshaped by
+    split/merge/migrate ops.
 ``elastic``
-    :class:`ElasticShardedAssignmentEngine` — the sharded engine with
-    *resident* shard states (persistent across epochs, pinned to their
-    worker processes) fed versioned :class:`ShardDiff` packets with a
-    fingerprint-keyed full-resync fallback, and :class:`ShardMap`
-    split/merge/migrate reshapes driven by a :class:`RebalancePolicy`
-    at epoch boundaries — WAL-logged, so recovery replays the topology
-    trajectory bit-exactly; see ``docs/ELASTICITY.md``.
+    :class:`ElasticShardedAssignmentEngine` — the sharded engine: the
+    same engine with its index fanned out over *resident* shard states
+    (persistent across epochs, in-process or pinned to worker processes)
+    fed versioned :class:`ShardDiff` packets with a fingerprint-keyed
+    full-resync fallback; merged plans are bit-identical to the
+    unsharded engine.  ``rebalance=None`` keeps the static tiling; a
+    :class:`RebalancePolicy` reshapes it at epoch boundaries —
+    WAL-logged, so recovery replays the topology trajectory bit-exactly;
+    see ``docs/SHARDING.md``.
 ``parallel``
     The solve-parallelism subsystem behind the engines'
     ``solve_executor`` knob: :class:`ParallelSolveExecutor` owns pinned
@@ -93,13 +94,7 @@ from repro.engine.parallel import (
     ShardBatchedScorer,
 )
 from repro.engine.scheduler import EventQueue, epoch_ticks
-from repro.engine.sharding import (
-    ProcessShardExecutor,
-    SequentialShardExecutor,
-    ShardMap,
-    ShardState,
-    ShardedAssignmentEngine,
-)
+from repro.engine.sharding import ShardMap
 
 __all__ = [
     "AssignmentEngine",
@@ -118,17 +113,13 @@ __all__ = [
     "PhaseProfiler",
     "PinnedWorkerPools",
     "ProcessResidentExecutor",
-    "ProcessShardExecutor",
     "RebalancePolicy",
     "ResidentShard",
     "SampleChunkScorer",
     "SequentialResidentExecutor",
-    "SequentialShardExecutor",
     "ShardBatchedScorer",
     "ShardDiff",
     "ShardMap",
-    "ShardState",
-    "ShardedAssignmentEngine",
     "TaskArrive",
     "TaskWithdraw",
     "WorkerArrive",

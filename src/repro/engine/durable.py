@@ -354,7 +354,7 @@ def solver_config(solver) -> Dict[str, Any]:
     the pre-fingerprint behaviour).
     """
     from repro.algorithms.greedy import GreedySolver
-    from repro.algorithms.sampling import SamplingSolver
+    from repro.algorithms.sampling import SUBSTREAM_V1, SamplingSolver
     from repro.solvers.incremental import WarmStartSamplingSolver, WarmStartSolver
 
     if isinstance(solver, WarmStartSolver):
@@ -369,7 +369,7 @@ def solver_config(solver) -> Dict[str, Any]:
         return {
             "num_samples": solver.num_samples,
             "backend": solver.backend,
-            "rng_contract": solver.rng_contract,
+            "rng_contract": SUBSTREAM_V1,
         }
     return {}
 
@@ -489,8 +489,7 @@ def rng_spec(rng) -> Dict[str, Any]:
     base.make_rng` builds a fresh generator from it each solve), so the
     value itself is the whole position.  A ``numpy.random.Generator``
     advances across epochs — ``substream_base_seed`` draws one integer
-    from it per SAMPLING solve under both the ``substream-v1`` and the
-    legacy ``shared-v0`` contract — so its *bit-generator state* is
+    from it per SAMPLING solve — so its *bit-generator state* is
     captured; a restore that re-seeded from scratch would silently
     diverge every subsequent plan.
 
@@ -752,7 +751,6 @@ def restore_engine(
     """
     from repro.engine.elastic import ElasticShardedAssignmentEngine
     from repro.engine.engine import AssignmentEngine
-    from repro.engine.sharding import ShardedAssignmentEngine
 
     log = DurableLog(path)
     try:
@@ -779,20 +777,19 @@ def restore_engine(
             warm_churn_threshold=meta["warm_churn_threshold"],
             solve_executor=solve_executor,
         )
-        if meta["engine"] == "ElasticShardedAssignmentEngine":
+        if meta["engine"] in (
+            "ElasticShardedAssignmentEngine",
+            # Logs written by the retired static-topology class: it had no
+            # rebalance/diff_shipping keys, and the defaults below are
+            # exactly its behaviour (static tiling, identical plans).
+            "ShardedAssignmentEngine",
+        ):
             engine = ElasticShardedAssignmentEngine(
                 num_shards=meta["num_shards"],
                 halo=meta["halo"],
                 executor=shard_executor or meta["shard_executor"],
                 rebalance=meta.get("rebalance"),
                 diff_shipping=meta.get("diff_shipping", True),
-                **common,
-            )
-        elif meta["engine"] == "ShardedAssignmentEngine":
-            engine = ShardedAssignmentEngine(
-                num_shards=meta["num_shards"],
-                halo=meta["halo"],
-                executor=shard_executor or meta["shard_executor"],
                 **common,
             )
         else:

@@ -1,13 +1,12 @@
-"""Elastic shards: resident sub-problems, diff shipping, rebalancing.
+"""The sharded engine: resident sub-grids, diff shipping, rebalancing.
 
-The sharded engine (:mod:`repro.engine.sharding`) fans index work out to
-per-shard sub-grids, but its blocks are *static* and every epoch ships
-typed event objects whose pickles are dominated by per-instance overhead.
-Under the drifting populations of the source paper's spatial-
-crowdsourcing regime that is the wrong shape twice over: a marching
-worker fleet piles into one block while the other residents idle, and
-the wire cost does not shrink with warm mode's tiny deltas.  This module
-makes the shard workers **resident and elastic**:
+The single :class:`~repro.engine.engine.AssignmentEngine` keeps one grid
+index current per event; past one grid's comfort zone every update
+sweeps every materialised cell and every epoch probes every dirty cell
+pair in one process.  :class:`ElasticShardedAssignmentEngine` partitions
+that index over a :class:`~repro.engine.sharding.ShardMap` (worker to
+its cell's owner, task halo-replicated — see that module for the routing
+and halo invariants) and fans the per-epoch index work out:
 
 **Residency + diff shipping.**  Each shard's sub-grid lives in a
 :class:`ResidentShard` that persists across epochs (in-process under the
@@ -22,33 +21,41 @@ or fingerprint mismatch makes the resident report *stale* instead of
 pairs, and the engine answers with a full resync diff that rebuilds it —
 a restarted or drifted resident self-heals within one fan-out.
 
-**Elasticity.**  :class:`ElasticShardedAssignmentEngine` applies
+**Elasticity.**  With ``rebalance=None`` the topology is the static
+tiling.  Given a :class:`RebalancePolicy` the engine applies
 :class:`ShardMap <repro.engine.sharding.ShardMap>` split/merge/migrate
-ops at epoch boundaries, driven by a :class:`RebalancePolicy` load
-metric (owned residents per shard — the live stand-in for the Eq. 22
-cost model in :mod:`repro.index.cost_model`, whose per-shard update cost
-scales with exactly this count).  A reshape re-routes the affected
-workers and halo replicas through the ordinary diff mechanism and is
-WAL-logged as a ``rebalance`` event *before* its epoch marker, so
-kill-and-recover (:func:`repro.engine.durable.restore_engine`) replays
-the same topology trajectory bit-exactly.  Diff building and reshapes
-surface as the ``diff_ship`` and ``rebalance`` phases in
+ops at epoch boundaries, driven by a load metric (owned residents per
+shard — the live stand-in for the Eq. 22 cost model in
+:mod:`repro.index.cost_model`, whose per-shard update cost scales with
+exactly this count).  A reshape re-routes the affected workers and halo
+replicas through the ordinary diff mechanism and is WAL-logged as a
+``rebalance`` event *before* its epoch marker, so kill-and-recover
+(:func:`repro.engine.durable.restore_engine`) replays the same topology
+trajectory bit-exactly.  Routing, diff building and reshapes surface as
+the ``route``, ``diff_ship`` and ``rebalance`` phases in
 :class:`~repro.engine.profile.PhaseProfiler` epoch records.
 
-**The invariant is unchanged.**  Any shard count, any rebalance
-schedule, any executor: the merged pair set equals the single grid's
-(each worker is owned exactly once and its tasks are halo-replicated to
-its owner, so the concatenate-and-sort merge sees every pair exactly
-once), the solve stays global, and plans plus
-:meth:`~repro.engine.metrics.EngineMetrics.counters` are bit-identical
-to the single-shard engine — ``tests/test_elastic.py`` pins this across
-drift scenarios, shard counts, backends and solve modes, and
-``benchmarks/bench_elastic.py`` records the diff-vs-full-ship payoff
-into ``BENCH_elastic.json``.
+**Why the solve stays global.**  GREEDY scores every candidate against
+the *global* minimum task reliability and SAMPLING consumes one global
+RNG stream, so independent per-shard solves cannot reproduce the
+single-engine plan.  The fan-out parallelises what does partition
+cleanly — per-shard index maintenance and dirty-pair probing — and the
+merged pair set feeds one global warm/full solve.
+
+**The invariant.**  Any shard count, any rebalance schedule, any
+executor: the merged pair set equals the single grid's (each worker is
+owned exactly once and its tasks are halo-replicated to its owner, so
+the concatenate-and-sort merge sees every pair exactly once), and plans
+plus :meth:`~repro.engine.metrics.EngineMetrics.counters` are
+bit-identical to the unsharded engine — ``tests/test_sharding.py`` and
+``tests/test_elastic.py`` pin this across drift scenarios, shard counts,
+backends and solve modes, and ``benchmarks/bench_elastic.py`` records
+the diff-vs-full-ship payoff into ``BENCH_elastic.json``.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -60,7 +67,8 @@ from repro.core.task import SpatialTask
 from repro.core.validity import ValidityRule
 from repro.core.worker import MovingWorker
 from repro.engine import events as ev
-from repro.engine.sharding import ShardedAssignmentEngine
+from repro.engine.engine import AssignmentEngine
+from repro.engine.sharding import ShardMap
 from repro.fastpath.arrays import (
     PackedRun,
     diff_nbytes,
@@ -70,6 +78,10 @@ from repro.fastpath.arrays import (
     unpack_pairs,
 )
 from repro.index.grid import RdbscGrid, cell_coords
+
+#: Slack added to the halo guard so float accumulation in the population
+#: bound cannot trip it on a halo chosen exactly at ``halo_bound``.
+_HALO_EPS = 1e-9
 
 #: Fixed per-diff wire overhead (shard id, versions, flag, fingerprint)
 #: counted by :attr:`ShardDiff.nbytes` on top of the column payloads.
@@ -164,12 +176,13 @@ class ShardDiff:
 class ResidentShard:
     """One shard's persistent sub-grid, fed by versioned diffs.
 
-    The diff-shipping twin of :class:`repro.engine.sharding.ShardState`:
-    it holds an :class:`~repro.index.grid.RdbscGrid` over the shard's
-    routed residents across epochs and advances it by applying
-    :class:`ShardDiff` runs — the same grouped grid calls, in the same
-    order, as an in-process apply of the original event batch, which is
-    the bit-identity argument for shipping diffs at all.  Alongside the
+    Holds an ordinary :class:`~repro.index.grid.RdbscGrid` over the
+    shard's routed residents (owned workers, halo-replicated tasks)
+    across epochs and advances it by applying :class:`ShardDiff` runs —
+    the same grouped grid calls, in the same order, as an in-process
+    apply of the original event batch (one invalidation + widening sweep
+    per touched cell), which is the bit-identity argument for shipping
+    diffs at all.  Alongside the
     grid it accumulates the per-entity digest fingerprint; a diff whose
     ``base_version`` or expected ``fingerprint`` does not match makes
     :meth:`apply` report stale, and the engine's full-resync diff then
@@ -287,15 +300,12 @@ class SequentialResidentExecutor:
 
     def apply(self, diffs: Sequence[ShardDiff]) -> List[ResidentReport]:
         """Apply one diff per resident, positionally, in shard order."""
-        return [
-            resident.apply(diff)
-            for resident, diff in zip(self.residents, diffs)
-        ]
+        return self.apply_at(list(enumerate(diffs)))
 
     def apply_at(
         self, indexed: Sequence[Tuple[int, ShardDiff]]
     ) -> List[ResidentReport]:
-        """Apply resync diffs to specific residents (the stale slots)."""
+        """Apply diffs to specific residents (resyncs hit the stale slots)."""
         return [self.residents[slot].apply(diff) for slot, diff in indexed]
 
     def close(self) -> None:
@@ -351,28 +361,24 @@ class ProcessResidentExecutor:
             ],
         )
 
-    @staticmethod
-    def _unpack(report) -> ResidentReport:
-        kind, version, packed, stats = report
-        return (kind, version, unpack_pairs(packed), stats)
-
     def apply(self, diffs: Sequence[ShardDiff]) -> List[ResidentReport]:
         """Fan one diff per resident out; block until every slot reports."""
-        futures = [
-            self.pools.submit(slot, _resident_apply, diff)
-            for slot, diff in enumerate(diffs)
-        ]
-        return [self._unpack(future.result()) for future in futures]
+        return self.apply_at(list(enumerate(diffs)))
 
     def apply_at(
         self, indexed: Sequence[Tuple[int, ShardDiff]]
     ) -> List[ResidentReport]:
-        """Ship resync diffs to specific residents (the stale slots)."""
+        """Ship diffs to specific residents; all run concurrently and are
+        gathered in the order given, so the merge stays deterministic."""
         futures = [
             self.pools.submit(slot, _resident_apply, diff)
             for slot, diff in indexed
         ]
-        return [self._unpack(future.result()) for future in futures]
+        packed = [future.result() for future in futures]
+        return [
+            (kind, version, unpack_pairs(pairs), stats)
+            for kind, version, pairs, stats in packed
+        ]
 
     def close(self) -> None:
         """Shut down every resident's worker process."""
@@ -569,37 +575,55 @@ class RebalancePolicy:
         ]
 
 
-class ElasticShardedAssignmentEngine(ShardedAssignmentEngine):
-    """The sharded engine with resident diff-fed shards and rebalancing.
+class ElasticShardedAssignmentEngine(AssignmentEngine):
+    """The incremental engine with its index fanned out across shards.
 
-    A drop-in :class:`~repro.engine.sharding.ShardedAssignmentEngine`
-    (same churn methods, same ``epoch()``, bit-identical plans and
-    counters) whose fan-out ships versioned :class:`ShardDiff` packets to
-    persistent :class:`ResidentShard` states instead of event batches to
-    throwaway ones, and whose :class:`~repro.engine.sharding.ShardMap`
-    reshapes at epoch boundaries under a :class:`RebalancePolicy` (or
-    explicit :meth:`apply_rebalance` calls).  Byte-level shipping and
-    reshape accounting accumulates in :attr:`elastic_stats`.
+    A drop-in :class:`~repro.engine.engine.AssignmentEngine`: the same
+    churn methods, the same ``epoch(now, pinned, forbidden)``, the same
+    warm/full solve modes — producing bit-identical plans and counters —
+    but all spatial-index traffic is routed to per-shard
+    :class:`ResidentShard` sub-grids and deferred until retrieval, when
+    one fan-out ships each shard's accumulated delta as a versioned
+    :class:`ShardDiff` and merges the shards' pair reports
+    deterministically.  The object dicts and slot slabs stay in the
+    engine (they are O(1) per event); ``self.grid`` stays empty and
+    serves as the aggregate stats ledger, so epoch records report cache
+    hits/misses summed across shards.  The
+    :class:`~repro.engine.sharding.ShardMap` reshapes at epoch
+    boundaries under a :class:`RebalancePolicy` (or explicit
+    :meth:`apply_rebalance` calls); byte-level shipping and reshape
+    accounting accumulates in :attr:`elastic_stats`.
 
     Args:
-        solver / eta / validity / rng / backend / num_shards / halo /
-            reanchor_on_epoch / solve_mode / warm_churn_threshold /
-            solve_executor / durable_snapshot_every: as for
-            :class:`~repro.engine.sharding.ShardedAssignmentEngine`.
+        solver / eta / validity / rng / backend / reanchor_on_epoch /
+            solve_mode / warm_churn_threshold: as for
+            :class:`AssignmentEngine` (``backend`` selects how each shard
+            grid probes its dirty cell pairs).
+        num_shards: cell-block count (see :class:`ShardMap`).
+        halo: task-replication radius; ``None`` replicates everywhere
+            (safe default).  With an explicit halo the engine tracks the
+            population's reach bound and raises the moment the invariant
+            would be violated.
         executor: ``"sequential"`` (in-process residents, default) or
             ``"process"`` (one pinned worker process per resident).
         rebalance: the reshape driver — a :class:`RebalancePolicy`, a
             config dict for one (how the durable log records it), or
-            ``None`` for manual-only elasticity via
-            :meth:`apply_rebalance`.
+            ``None`` for the static tiling (reshaped only by explicit
+            :meth:`apply_rebalance` calls).
         diff_shipping: when false, every epoch ships a full resync
             instead of a diff — the "re-ship the whole packed
             sub-instance" baseline ``benchmarks/bench_elastic.py``
             measures against; plans are identical either way.
-        durable_path: write-ahead log as for the base engines; rebalance
-            ops are logged as ``rebalance`` events before their epoch
-            marker and snapshots carry the ownership table, so recovery
-            reproduces the topology trajectory bit-exactly.
+        solve_executor: parallelise the epoch *solve* as for
+            :class:`AssignmentEngine`; the shard map additionally drives
+            the greedy scorer's batch partition, so solve batches follow
+            the same cell-block partition as the index fan-out.
+        durable_path / durable_snapshot_every: write-ahead log as for
+            :class:`AssignmentEngine`; the meta row additionally records
+            the shard layout, rebalance ops are logged as ``rebalance``
+            events before their epoch marker and snapshots carry the
+            ownership table, so recovery reproduces routing and the
+            topology trajectory bit-exactly.
     """
 
     def __init__(
@@ -623,25 +647,20 @@ class ElasticShardedAssignmentEngine(ShardedAssignmentEngine):
     ) -> None:
         if executor not in ("sequential", "process"):
             raise ValueError(f"unknown executor {executor!r}")
+        self.shard_map = ShardMap(num_shards, eta, halo=halo)
         super().__init__(
             solver=solver,
             eta=eta,
             validity=validity,
             rng=rng,
             backend=backend,
-            num_shards=num_shards,
-            halo=halo,
-            executor="sequential",
+            use_index=True,
             reanchor_on_epoch=reanchor_on_epoch,
             solve_mode=solve_mode,
             warm_churn_threshold=warm_churn_threshold,
             solve_executor=solve_executor,
-            durable_path=None,
             durable_snapshot_every=durable_snapshot_every,
         )
-        # Replace the base class's batch-shipping executor (built empty a
-        # moment ago; closing it is free) with a resident one.
-        self.executor.close()
         self._executor_kind = executor
         if executor == "sequential":
             self.executor = SequentialResidentExecutor(
@@ -656,9 +675,20 @@ class ElasticShardedAssignmentEngine(ShardedAssignmentEngine):
             )
         if isinstance(rebalance, dict):
             rebalance = RebalancePolicy(**rebalance)
-        #: The reshape driver (``None`` = manual-only elasticity).
+        #: The reshape driver (``None`` = static tiling, manual reshapes).
         self.policy: Optional[RebalancePolicy] = rebalance
         self.diff_shipping = bool(diff_shipping)
+        #: Completed fan-outs (one per retrieval that found routed churn).
+        self.fanouts = 0
+        self._pending: Dict[int, List[ev.Event]] = {}
+        self._merged: Optional[List[ValidPair]] = None
+        self._task_shards: Dict[int, Tuple[int, ...]] = {}
+        self._worker_shard: Dict[int, int] = {}
+        # Running population aggregates backing the halo guard; they only
+        # ever grow (removals cannot shrink a bound already honoured).
+        self._max_end = 0.0
+        self._min_depart = math.inf
+        self._v_max = 0.0
         # Per-shard diff protocol state: the version each resident should
         # be at and the fingerprint its state should accumulate to, plus
         # the entity digests and per-shard resident counts backing them —
@@ -683,15 +713,23 @@ class ElasticShardedAssignmentEngine(ShardedAssignmentEngine):
             "merges": 0,
             "migrates": 0,
         }
+        # Durability attaches here, after the shard layout exists — the log
+        # meta must record it (the base __init__ runs too early for that).
         if durable_path is not None:
             self._start_durable(durable_path)
 
     def _durable_config(self) -> dict:
-        """Sharded meta plus the elastic knobs a recovery must reproduce."""
+        """Base meta plus the shard layout a recovery must reproduce."""
         config = super()._durable_config()
-        config["shard_executor"] = self._executor_kind
-        config["rebalance"] = None if self.policy is None else self.policy.config()
-        config["diff_shipping"] = self.diff_shipping
+        config.update(
+            {
+                "num_shards": self.shard_map.num_shards,
+                "halo": self.shard_map.halo,
+                "shard_executor": self._executor_kind,
+                "rebalance": None if self.policy is None else self.policy.config(),
+                "diff_shipping": self.diff_shipping,
+            }
+        )
         return config
 
     def _topology_snapshot(self) -> Optional[dict]:
@@ -708,61 +746,134 @@ class ElasticShardedAssignmentEngine(ShardedAssignmentEngine):
         self.shard_map.install(topology)
 
     # ------------------------------------------------------------------ #
-    # Routing hooks: base routing plus digest/fingerprint bookkeeping
+    # Halo guard
     # ------------------------------------------------------------------ #
 
-    def _index_insert_tasks(self, tasks: Sequence[SpatialTask]) -> None:
-        super()._index_insert_tasks(tasks)
-        for task in tasks:
-            digest = task_digest(task)
-            self._task_digest[task.task_id] = digest
-            for shard_id in self._task_shards[task.task_id]:
-                self._shard_fp[shard_id] ^= digest
-                self._shard_task_count[shard_id] += 1
+    def _guard_halo(
+        self,
+        tasks: Sequence[SpatialTask] = (),
+        workers: Sequence[MovingWorker] = (),
+    ) -> None:
+        """Fold entities into the reach aggregates, or raise unmodified.
 
-    def _index_remove_task(self, task_id: int) -> None:
-        shards = self._task_shards[task_id]
-        digest = self._task_digest.pop(task_id)
-        super()._index_remove_task(task_id)
-        for shard_id in shards:
-            self._shard_fp[shard_id] ^= digest
-            self._shard_task_count[shard_id] -= 1
+        Runs *before* the base registration touches any state, so a
+        too-small halo fails loudly with the engine untouched (a guard
+        firing after registration would strand entities in the dicts but
+        not in the routing tables, and a silently missing pair would
+        break the bit-identity contract).
+        """
+        halo = self.shard_map.halo
+        if halo is None:
+            return
+        max_end = max([self._max_end, *(task.end for task in tasks)])
+        min_depart = min([self._min_depart, *(w.depart_time for w in workers)])
+        v_max = max([self._v_max, *(w.velocity for w in workers)])
+        earliest = min_depart if min_depart != math.inf else 0.0
+        bound = max(0.0, max_end - earliest) * v_max
+        if bound > halo + _HALO_EPS:
+            raise ValueError(
+                f"halo {halo} no longer covers the population's reach bound "
+                f"{bound:.6g}; size it with ShardMap.halo_bound over the full "
+                f"pools (or use halo=None to replicate tasks everywhere)"
+            )
+        self._max_end, self._min_depart, self._v_max = max_end, min_depart, v_max
 
-    def _index_add_workers(self, workers: Sequence[MovingWorker]) -> None:
-        super()._index_add_workers(workers)
-        for worker in workers:
-            digest = worker_digest(worker)
-            self._worker_digest[worker.worker_id] = digest
-            shard_id = self._worker_shard[worker.worker_id]
-            self._shard_fp[shard_id] ^= digest
-            self._shard_worker_count[shard_id] += 1
+    def add_tasks(self, tasks: Sequence[SpatialTask]) -> None:
+        """Register tasks, halo-guarded before any state changes."""
+        self._guard_halo(tasks=tasks)
+        super().add_tasks(tasks)
 
-    def _index_remove_worker(self, worker_id: int) -> None:
-        shard_id = self._worker_shard[worker_id]
-        digest = self._worker_digest.pop(worker_id)
-        super()._index_remove_worker(worker_id)
+    def add_workers(self, workers: Sequence[MovingWorker]) -> None:
+        """Register workers, halo-guarded before any state changes."""
+        self._guard_halo(workers=workers)
+        super().add_workers(workers)
+
+    def update_workers(self, workers: Sequence[MovingWorker]) -> None:
+        """Refresh workers in place, halo-guarded before any state changes."""
+        self._guard_halo(workers=workers)
+        super().update_workers(workers)
+
+    # ------------------------------------------------------------------ #
+    # Routing (the index hooks): one pass per batch routes each entity,
+    # buffers its shard event and keeps the digest/fingerprint/load
+    # bookkeeping in step
+    # ------------------------------------------------------------------ #
+
+    def _buffer(self, shard_id: int, event: ev.Event) -> None:
+        self._pending.setdefault(shard_id, []).append(event)
+        self._merged = None
+
+    def _place_worker(self, shard_id: int, worker: MovingWorker, digest: int) -> None:
+        self._buffer(shard_id, ev.WorkerArrive(time=0.0, worker=worker))
+        self._shard_fp[shard_id] ^= digest
+        self._shard_worker_count[shard_id] += 1
+
+    def _evict_worker(self, shard_id: int, worker_id: int, digest: int) -> None:
+        self._buffer(shard_id, ev.WorkerLeave(time=0.0, worker_id=worker_id))
         self._shard_fp[shard_id] ^= digest
         self._shard_worker_count[shard_id] -= 1
 
-    def _index_update_workers(self, workers: Sequence[MovingWorker]) -> None:
-        previous = [
-            (
-                worker.worker_id,
-                self._worker_shard[worker.worker_id],
-                self._worker_digest[worker.worker_id],
+    def _place_task(self, shard_id: int, task: SpatialTask, digest: int) -> None:
+        self._buffer(shard_id, ev.TaskArrive(time=0.0, task=task))
+        self._shard_fp[shard_id] ^= digest
+        self._shard_task_count[shard_id] += 1
+
+    def _evict_task(self, shard_id: int, task_id: int, digest: int) -> None:
+        self._buffer(shard_id, ev.TaskWithdraw(time=0.0, task_id=task_id))
+        self._shard_fp[shard_id] ^= digest
+        self._shard_task_count[shard_id] -= 1
+
+    def _index_insert_tasks(self, tasks: Sequence[SpatialTask]) -> None:
+        with self.profiler.phase("route"):
+            for task in tasks:
+                digest = self._task_digest[task.task_id] = task_digest(task)
+                shards = self.shard_map.shards_for_task(task.location)
+                self._task_shards[task.task_id] = shards
+                for shard_id in shards:
+                    self._place_task(shard_id, task, digest)
+
+    def _index_remove_task(self, task_id: int) -> None:
+        with self.profiler.phase("route"):
+            digest = self._task_digest.pop(task_id)
+            for shard_id in self._task_shards.pop(task_id):
+                self._evict_task(shard_id, task_id, digest)
+
+    def _index_add_workers(self, workers: Sequence[MovingWorker]) -> None:
+        with self.profiler.phase("route"):
+            for worker in workers:
+                digest = self._worker_digest[worker.worker_id] = worker_digest(worker)
+                shard_id = self.shard_map.shard_of_point(worker.location)
+                self._worker_shard[worker.worker_id] = shard_id
+                self._place_worker(shard_id, worker, digest)
+
+    def _index_remove_worker(self, worker_id: int) -> None:
+        with self.profiler.phase("route"):
+            self._evict_worker(
+                self._worker_shard.pop(worker_id),
+                worker_id,
+                self._worker_digest.pop(worker_id),
             )
-            for worker in workers
-        ]
-        super()._index_update_workers(workers)
-        for (worker_id, old_shard, old_digest), worker in zip(previous, workers):
-            new_shard = self._worker_shard[worker_id]
-            new_digest = worker_digest(worker)
-            self._shard_fp[old_shard] ^= old_digest
-            self._shard_fp[new_shard] ^= new_digest
-            self._worker_digest[worker_id] = new_digest
-            if new_shard != old_shard:
-                self._shard_worker_count[old_shard] -= 1
-                self._shard_worker_count[new_shard] += 1
+
+    def _index_update_workers(self, workers: Sequence[MovingWorker]) -> None:
+        with self.profiler.phase("route"):
+            for worker in workers:
+                worker_id = worker.worker_id
+                old_shard = self._worker_shard[worker_id]
+                old_digest = self._worker_digest[worker_id]
+                new_shard = self.shard_map.shard_of_point(worker.location)
+                digest = self._worker_digest[worker_id] = worker_digest(worker)
+                if new_shard == old_shard:
+                    self._buffer(
+                        new_shard, ev.WorkerUpdate(time=0.0, worker=worker)
+                    )
+                    self._shard_fp[new_shard] ^= old_digest ^ digest
+                else:
+                    # A block-crossing move migrates the worker between
+                    # shard grids; its pairs move with it, so the merge
+                    # needs no cross-shard reconciliation.
+                    self._worker_shard[worker_id] = new_shard
+                    self._evict_worker(old_shard, worker_id, old_digest)
+                    self._place_worker(new_shard, worker, digest)
 
     # ------------------------------------------------------------------ #
     # Rebalancing
@@ -796,35 +907,23 @@ class ElasticShardedAssignmentEngine(ShardedAssignmentEngine):
             for worker_id, old_shard in list(self._worker_shard.items()):
                 worker = self._workers[worker_id]
                 new_shard = self.shard_map.shard_of_point(worker.location)
-                if new_shard == old_shard:
-                    continue
-                self._worker_shard[worker_id] = new_shard
-                self._buffer(
-                    old_shard, ev.WorkerLeave(time=0.0, worker_id=worker_id)
-                )
-                self._buffer(new_shard, ev.WorkerArrive(time=0.0, worker=worker))
-                digest = self._worker_digest[worker_id]
-                self._shard_fp[old_shard] ^= digest
-                self._shard_fp[new_shard] ^= digest
-                self._shard_worker_count[old_shard] -= 1
-                self._shard_worker_count[new_shard] += 1
+                if new_shard != old_shard:
+                    digest = self._worker_digest[worker_id]
+                    self._worker_shard[worker_id] = new_shard
+                    self._evict_worker(old_shard, worker_id, digest)
+                    self._place_worker(new_shard, worker, digest)
             for task_id, old_shards in list(self._task_shards.items()):
                 task = self._tasks[task_id]
                 new_shards = self.shard_map.shards_for_task(task.location)
                 if new_shards == old_shards:
                     continue
                 digest = self._task_digest[task_id]
-                old_set, new_set = set(old_shards), set(new_shards)
-                for shard_id in sorted(old_set - new_set):
-                    self._buffer(
-                        shard_id, ev.TaskWithdraw(time=0.0, task_id=task_id)
-                    )
-                    self._shard_fp[shard_id] ^= digest
-                    self._shard_task_count[shard_id] -= 1
-                for shard_id in sorted(new_set - old_set):
-                    self._buffer(shard_id, ev.TaskArrive(time=0.0, task=task))
-                    self._shard_fp[shard_id] ^= digest
-                    self._shard_task_count[shard_id] += 1
+                for shard_id in old_shards:
+                    if shard_id not in new_shards:
+                        self._evict_task(shard_id, task_id, digest)
+                for shard_id in new_shards:
+                    if shard_id not in old_shards:
+                        self._place_task(shard_id, task, digest)
                 self._task_shards[task_id] = new_shards
         self._durable_append(
             [("rebalance", {"ops": [dict(op) for op in ops]})]
@@ -917,11 +1016,13 @@ class ElasticShardedAssignmentEngine(ShardedAssignmentEngine):
 
         Routed churn since the previous fan-out ships as one versioned
         diff per resident (``diff_ship`` phase); residents apply and
-        report pairs plus stat deltas (``index`` phase), any stale
-        resident is healed with a full resync on the same fan-out, and
-        the merge stays the deterministic ``(task_id, worker_id)``
-        concatenate-and-sort of the static engine — the canonical order
-        containing exactly the single grid's pair set.
+        report pairs plus stat deltas (``index`` phase), and any stale
+        resident is healed with a full resync on the same fan-out.  With
+        nothing pending, the previous merge is served again without
+        touching the executor.  The merged list is sorted by
+        ``(task_id, worker_id)`` — a canonical order containing exactly
+        the single grid's pair set, which is all the (candidate-
+        canonicalising) problem build observes.
         """
         if self._merged is None:
             batches, self._pending = self._pending, {}
@@ -971,3 +1072,19 @@ class ElasticShardedAssignmentEngine(ShardedAssignmentEngine):
             self._merged = merged
             self.fanouts += 1
         return list(self._merged)
+
+    def close(self) -> None:
+        """Release the resident executor and any owned solve executor.
+
+        Idempotent like the base close: the first call shuts the resident
+        pools *and* an engine-owned solve executor down (the base close
+        handles the latter — an engine-owned
+        :class:`~repro.engine.parallel.ParallelSolveExecutor` must not
+        outlive the sharded engine any more than the single one); repeats
+        are no-ops, and a later :meth:`epoch` fails with a clear error
+        instead of submitting to dead pools.
+        """
+        if self._closed:
+            return
+        self.executor.close()
+        super().close()

@@ -378,8 +378,8 @@ class AssignmentEngine:
     # ------------------------------------------------------------------ #
     # The churn methods keep the object dicts, the slot slabs and the
     # spatial index in lock-step; all index traffic funnels through these
-    # five hooks so :class:`repro.engine.sharding.ShardedAssignmentEngine`
-    # can reroute it to per-shard sub-grids without re-implementing any
+    # five hooks so the sharded engine (:mod:`repro.engine.elastic`) can
+    # reroute it to per-shard sub-grids without re-implementing any
     # bookkeeping.  The batched hooks receive whole same-kind runs (see
     # :meth:`apply_batch`) so the grid can group per-cell work.
 

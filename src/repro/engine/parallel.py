@@ -55,11 +55,7 @@ import numpy as np
 
 from repro.algorithms.greedy import GreedySolver
 from repro.algorithms.random_assign import CandidateTable
-from repro.algorithms.sampling import (
-    SHARED_STREAM_V0,
-    SamplingSolver,
-    substream_rng,
-)
+from repro.algorithms.sampling import SamplingSolver, substream_rng
 from repro.core.problem import RdbscProblem
 from repro.core.reliability import log_to_reliability
 from repro.core.task import SpatialTask
@@ -88,8 +84,8 @@ class PinnedWorkerPools:
     slot ``i`` always lands in the same OS process, so per-process state —
     a shard's sub-grid, a chunk scorer's unpacked problem — has process
     affinity for the pools' lifetime.  This is the per-shard pool pattern
-    of :class:`repro.engine.sharding.ProcessShardExecutor`, factored out
-    so the solve fan-out can reuse it.
+    of :class:`repro.engine.elastic.ProcessResidentExecutor`, shared with
+    the solve fan-out.
 
     Args:
         count: number of pinned slots (and processes).
@@ -781,20 +777,9 @@ class ParallelSolveExecutor:
         Returns whether the solver had a parallel face to bind; solvers
         without one (RANDOM, D&C, exhaustive, ...) are left untouched and
         simply solve serially.
-
-        Raises:
-            ValueError: for a legacy shared-stream sampling solver — its
-                samples cannot be fanned out (sample ``i`` depends on
-                every draw before it).
         """
         base = solver.base if isinstance(solver, WarmStartSolver) else solver
         if isinstance(base, SamplingSolver):
-            if base.rng_contract == SHARED_STREAM_V0:
-                raise ValueError(
-                    "solve_executor requires the substream sampling contract "
-                    "(rng_contract='substream-v1'); the legacy shared-stream "
-                    "solver must run serially"
-                )
             base.executor = self.samples
             return True
         if isinstance(base, GreedySolver):

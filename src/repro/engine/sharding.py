@@ -1,70 +1,38 @@
-"""Sharded assignment: cell-block partitioning with fanned-out epochs.
+"""Shard topology: which shard owns which grid cell, and where tasks go.
 
-The single :class:`~repro.engine.engine.AssignmentEngine` keeps one grid
-index current per event; at the "millions of users" scale the ROADMAP
-targets, that one grid becomes the bottleneck — every update sweeps every
-materialised cell, and every epoch probes every dirty cell pair in one
-process.  This module splits the grid into rectangular **cell blocks**
-(:class:`ShardMap`), gives each block its own persistent sub-grid
-(:class:`ShardState`), and fans the per-epoch index work out across an
-executor (:class:`SequentialShardExecutor` in-process for determinism and
-debugging, :class:`ProcessShardExecutor` across a ``concurrent.futures``
-worker pool for real deployments).
+:class:`ShardMap` splits the grid into rectangular **cell blocks**, one
+per shard, and answers the two routing questions the sharded engine
+(:class:`repro.engine.elastic.ElasticShardedAssignmentEngine`) asks.
 
 **Routing.**  A worker lives in exactly one shard — the owner of its
-grid cell.  A task is *replicated* into every shard whose owned block
-lies within ``halo`` of the task's cell, so each shard can compute every
-valid pair of its own workers locally.  A pair whose task lives in a
-different block than its worker (a *halo-crossing* pair) is therefore
-produced exactly once — by the worker's owner shard — and the merge step
+grid cell.  A task is *replicated* into every shard owning a cell within
+``halo`` of the task's cell, so each shard can compute every valid pair
+of its own workers locally.  A pair whose task lives in a different
+block than its worker (a *halo-crossing* pair) is therefore produced
+exactly once — by the worker's owner shard — and merging shard reports
 is a deterministic concatenate-and-sort, no conflict resolution needed.
 
 **The halo invariant.**  Replication is sound iff ``halo`` is at least
 the farthest any worker can travel within any task's valid period:
 ``max over (t, w) of v_j * max(0, e_i - dp_j)``.  :meth:`ShardMap.
 halo_bound` computes that bound for a population; ``halo=None`` (the
-default) replicates tasks to every shard, which is always safe.  The
-sharded engine tracks the running population aggregates and raises as
-soon as a configured halo provably stops covering them — a silently
-missing pair would break the bit-identity contract.
+default) replicates tasks to every shard, which is always safe.
 
-**Why the solve stays global.**  GREEDY scores every candidate against
-the *global* minimum task reliability and SAMPLING consumes one global
-RNG stream, so independent per-shard solves cannot reproduce the
-single-engine plan (two shards' rounds interleave through the shared
-minimum).  The fan-out therefore parallelises what does partition
-cleanly — per-shard index maintenance (applied as per-cell-grouped
-batches) and dirty-pair probing — and the merged pair set feeds one
-global warm/full solve.  Epoch plans are bit-identical to the
-single-shard engine on the same event stream (``tests/test_sharding.py``
-pins this for 1, 2 and 4 shards on both executors); throughput is
-recorded by ``benchmarks/bench_sharding.py`` into
-``BENCH_sharding.json``.
+**Reshaping.**  The tiling is the topology at version 0; split / merge /
+migrate ops move explicit cell sets between shards afterwards (see
+``docs/SHARDING.md``).  This module holds no engine, executor or
+per-shard state — only the map.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithms.base import RngLike, Solver
-from repro.core.problem import ValidPair
 from repro.core.task import SpatialTask
-from repro.core.validity import ValidityRule
 from repro.core.worker import MovingWorker
-from repro.engine import events as ev
-from repro.engine.engine import AssignmentEngine
 from repro.geometry.points import Point
-from repro.index.grid import RdbscGrid, cell_coords
-
-#: Slack added to the halo guard so float accumulation in the population
-#: bound cannot trip it on a halo chosen exactly at ``halo_bound``.
-_HALO_EPS = 1e-9
-
-#: A shard's epoch report: its merged-in valid pairs plus the index-stat
-#: deltas (pair-cache hits/misses, pruning counters) since the last report.
-ShardReport = Tuple[List[ValidPair], Dict[str, int]]
+from repro.index.grid import cell_coords
 
 
 def _rect_distance(
@@ -464,447 +432,3 @@ class ShardMap:
         min_depart = min((worker.depart_time for worker in workers), default=0.0)
         v_max = max((worker.velocity for worker in workers), default=0.0)
         return max(0.0, max_end - min_depart) * v_max
-
-
-class ShardState:
-    """One shard's persistent sub-grid, living wherever its executor runs.
-
-    Holds an ordinary :class:`~repro.index.grid.RdbscGrid` over the
-    shard's routed residents (owned workers, halo-replicated tasks) and
-    applies the typed churn events the engine routes to it.  The state is
-    picklable while fresh, which is how the process executor ships it
-    into its worker process once at start-up; afterwards it only ever
-    exchanges event batches and pair reports.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        eta: float,
-        validity: Optional[ValidityRule] = None,
-        backend: str = "python",
-    ) -> None:
-        self.shard_id = shard_id
-        self.grid = RdbscGrid(eta, validity, backend=backend)
-        self._reported = dict(self.grid.stats)
-
-    def apply_batch(self, events: Sequence[ev.Event]) -> None:
-        """Apply routed churn events, grouping same-kind runs per cell.
-
-        The batch is coalesced exactly like the engine's own batched
-        application (:func:`repro.engine.scheduler.coalesce_churn`):
-        leaves, arrivals, updates and task churn each hit the shard grid
-        as one batched call, paying one invalidation + widening sweep
-        per touched cell — the "per-cell invalidations grouped before
-        fan-out" amortisation.  Non-churn events are unroutable here and
-        raise.
-        """
-        from repro.engine.scheduler import coalesce_churn
-
-        for kind, payload in coalesce_churn(events):
-            if kind == "worker_update":
-                self.grid.update_workers(payload)
-            elif kind == "worker_arrive":
-                self.grid.insert_workers(payload)
-            elif kind == "worker_leave":
-                for worker_id in payload:
-                    self.grid.remove_worker(worker_id)
-            elif kind == "task_arrive":
-                self.grid.insert_tasks(payload)
-            elif kind == "task_withdraw":
-                for task_id in payload:
-                    self.grid.remove_task(task_id)
-            else:
-                raise TypeError(
-                    f"shard {self.shard_id}: unroutable event "
-                    f"{type(payload).__name__}"
-                )
-
-    def collect(self, events: Sequence[ev.Event]) -> ShardReport:
-        """Apply a batch, then report this shard's pairs and stat deltas.
-
-        The pair list is the shard grid's incremental retrieval (cached
-        entries stream, dirty entries re-probe); the stats dict holds the
-        change in each grid counter since the previous report, so the
-        engine can aggregate exact per-epoch cache hit/miss numbers
-        across shards.
-        """
-        self.apply_batch(events)
-        pairs = self.grid.valid_pairs()
-        delta = {
-            key: value - self._reported[key] for key, value in self.grid.stats.items()
-        }
-        self._reported = dict(self.grid.stats)
-        return pairs, delta
-
-
-class SequentialShardExecutor:
-    """In-process fan-out: shards applied one after another.
-
-    Zero serialisation, single address space, deterministic — the
-    executor for tests, debugging, and for deployments where the
-    partitioning itself (smaller per-shard sweeps, grouped batches) is
-    the win rather than parallelism.
-    """
-
-    def __init__(self, states: Sequence[ShardState]) -> None:
-        self.states = list(states)
-
-    def collect(
-        self, batches: Dict[int, List[ev.Event]]
-    ) -> List[ShardReport]:
-        """Run every shard's ``collect`` in shard order; missing = empty."""
-        return [
-            state.collect(batches.get(state.shard_id, []))
-            for state in self.states
-        ]
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
-_PROCESS_STATE: Optional[ShardState] = None
-
-
-def _process_init(state: ShardState) -> None:
-    """Worker-process initialiser: adopt the shipped shard state."""
-    global _PROCESS_STATE
-    _PROCESS_STATE = state
-
-
-def _process_collect(events: List[ev.Event]):
-    """Run one collect in the worker process; pairs travel packed."""
-    from repro.fastpath.arrays import pack_pairs
-
-    assert _PROCESS_STATE is not None
-    pairs, stats = _PROCESS_STATE.collect(events)
-    return pack_pairs(pairs), stats
-
-
-class ProcessShardExecutor:
-    """Process-pool fan-out: one single-worker pool per shard.
-
-    Pinning each shard to its own single-worker pool (one
-    :class:`repro.engine.parallel.PinnedWorkerPools` slot per shard)
-    gives the shard state process affinity — the sub-grid and its
-    persistent pair cache live in that worker for the engine's lifetime,
-    and each epoch only ships the shard's event batch out and its packed
-    pair report back (:func:`repro.fastpath.arrays.pack_pairs`).  All
-    shards' collects run concurrently; results are gathered in shard
-    order, so the merge stays deterministic.  Call :meth:`close` (or use
-    the engine as a context manager) to shut the pools down.
-
-    Each collect's engine-side cost is decomposed into cumulative
-    ``timings``: ``route_seconds`` (batch routing + submission — the
-    serialisation hand-off), ``wait_seconds`` (blocking on shard compute
-    plus IPC, which all shards overlap) and ``unpack_seconds``
-    (deserialising the packed pair reports) — the measurement behind the
-    ``bench_sharding.py`` decomposition of process-executor overhead.
-    """
-
-    def __init__(self, states: Sequence[ShardState]) -> None:
-        from repro.engine.parallel import PinnedWorkerPools
-
-        self._shard_ids = [state.shard_id for state in states]
-        self.pools = PinnedWorkerPools(
-            len(states),
-            initializer=_process_init,
-            initargs_per_slot=[(state,) for state in states],
-        )
-        #: Cumulative engine-side collect decomposition (see class docs).
-        self.timings: Dict[str, float] = {
-            "route_seconds": 0.0,
-            "wait_seconds": 0.0,
-            "unpack_seconds": 0.0,
-        }
-
-    def collect(
-        self, batches: Dict[int, List[ev.Event]]
-    ) -> List[ShardReport]:
-        """Fan one epoch's batches out; block until every shard reports."""
-        from repro.fastpath.arrays import unpack_pairs
-
-        started = time.perf_counter()
-        futures = [
-            self.pools.submit(slot, _process_collect, batches.get(shard_id, []))
-            for slot, shard_id in enumerate(self._shard_ids)
-        ]
-        submitted = time.perf_counter()
-        self.timings["route_seconds"] += submitted - started
-        packed_reports = [future.result() for future in futures]
-        gathered = time.perf_counter()
-        self.timings["wait_seconds"] += gathered - submitted
-        reports: List[ShardReport] = [
-            (unpack_pairs(packed), stats) for packed, stats in packed_reports
-        ]
-        self.timings["unpack_seconds"] += time.perf_counter() - gathered
-        return reports
-
-    def close(self) -> None:
-        """Shut down every shard's worker process."""
-        self.pools.close()
-
-
-class ShardedAssignmentEngine(AssignmentEngine):
-    """The incremental engine with its index fanned out across shards.
-
-    A drop-in :class:`~repro.engine.engine.AssignmentEngine`: the same
-    churn methods, the same ``epoch(now, pinned, forbidden)``, the same
-    warm/full solve modes — producing bit-identical plans — but all
-    spatial-index traffic is routed to per-shard sub-grids and deferred
-    until retrieval, when one fan-out applies each shard's accumulated
-    delta as per-cell-grouped batches and merges the shards' pair
-    reports deterministically.  The object dicts and slot slabs stay in
-    the engine (they are O(1) per event); ``self.grid`` stays empty and
-    serves as the aggregate stats ledger, so epoch records report
-    cache hits/misses summed across shards.
-
-    Args:
-        solver / eta / validity / rng / backend / reanchor_on_epoch /
-            solve_mode / warm_churn_threshold: as for
-            :class:`AssignmentEngine` (``backend`` selects how each shard
-            grid probes its dirty cell pairs).
-        num_shards: cell-block count (see :class:`ShardMap`).
-        halo: task-replication radius; ``None`` replicates everywhere
-            (safe default).  With an explicit halo the engine tracks the
-            population's reach bound and raises the moment the invariant
-            would be violated.
-        executor: ``"sequential"`` (in-process, default) or ``"process"``
-            (one pinned worker process per shard).
-        solve_executor: parallelise the epoch *solve* as for
-            :class:`AssignmentEngine` (``None`` / process count /
-            :class:`repro.engine.parallel.ParallelSolveExecutor`); the
-            shard map additionally drives the greedy scorer's batch
-            partition, so solve batches follow the same cell-block
-            partition as the index fan-out.
-        durable_path / durable_snapshot_every: write-ahead event log +
-            periodic snapshots, as for :class:`AssignmentEngine`; the log
-            additionally records the shard layout (count, halo, executor
-            kind), so :func:`repro.engine.durable.restore_engine` rebuilds
-            a sharded engine with identical routing.
-    """
-
-    def __init__(
-        self,
-        solver: Optional[Solver] = None,
-        eta: float = 0.125,
-        validity: Optional[ValidityRule] = None,
-        rng: RngLike = None,
-        backend: str = "python",
-        num_shards: int = 4,
-        halo: Optional[float] = None,
-        executor: str = "sequential",
-        reanchor_on_epoch: bool = False,
-        solve_mode: str = "full",
-        warm_churn_threshold: float = 0.25,
-        solve_executor=None,
-        durable_path=None,
-        durable_snapshot_every: int = 16,
-    ) -> None:
-        super().__init__(
-            solver=solver,
-            eta=eta,
-            validity=validity,
-            rng=rng,
-            backend=backend,
-            use_index=True,
-            reanchor_on_epoch=reanchor_on_epoch,
-            solve_mode=solve_mode,
-            warm_churn_threshold=warm_churn_threshold,
-            solve_executor=solve_executor,
-            durable_snapshot_every=durable_snapshot_every,
-        )
-        self.shard_map = ShardMap(num_shards, eta, halo=halo)
-        states = [
-            ShardState(shard_id, eta, self.validity, backend=backend)
-            for shard_id in range(num_shards)
-        ]
-        if executor == "sequential":
-            self.executor = SequentialShardExecutor(states)
-        elif executor == "process":
-            self.executor = ProcessShardExecutor(states)
-        else:
-            raise ValueError(f"unknown executor {executor!r}")
-        #: Completed fan-outs (one per retrieval that found routed churn).
-        self.fanouts = 0
-        self._pending: Dict[int, List[ev.Event]] = {}
-        self._merged: Optional[List[ValidPair]] = None
-        self._task_shards: Dict[int, Tuple[int, ...]] = {}
-        self._worker_shard: Dict[int, int] = {}
-        # Running population aggregates backing the halo guard; they only
-        # ever grow (removals cannot shrink a bound already honoured).
-        self._max_end = 0.0
-        self._min_depart = math.inf
-        self._v_max = 0.0
-        # Durability attaches here, after the shard layout exists — the log
-        # meta must record it (the base __init__ runs too early for that).
-        if durable_path is not None:
-            self._start_durable(durable_path)
-
-    def _durable_config(self) -> dict:
-        """Base meta plus the shard layout a recovery must reproduce."""
-        config = super()._durable_config()
-        config.update(
-            {
-                "num_shards": self.shard_map.num_shards,
-                "halo": self.shard_map.halo,
-                "shard_executor": (
-                    "process"
-                    if isinstance(self.executor, ProcessShardExecutor)
-                    else "sequential"
-                ),
-            }
-        )
-        return config
-
-    # ------------------------------------------------------------------ #
-    # Routing (the index hooks)
-    # ------------------------------------------------------------------ #
-
-    def _buffer(self, shard_id: int, event: ev.Event) -> None:
-        self._pending.setdefault(shard_id, []).append(event)
-        self._merged = None
-
-    def _guard_halo(self) -> None:
-        """Fail loudly the moment a configured halo stops being safe."""
-        halo = self.shard_map.halo
-        if halo is None:
-            return
-        min_depart = self._min_depart if self._min_depart != math.inf else 0.0
-        bound = max(0.0, self._max_end - min_depart) * self._v_max
-        if bound > halo + _HALO_EPS:
-            raise ValueError(
-                f"halo {halo} no longer covers the population's reach bound "
-                f"{bound:.6g}; size it with ShardMap.halo_bound over the full "
-                f"pools (or use halo=None to replicate tasks everywhere)"
-            )
-
-    def _guard_tasks(self, tasks: Sequence[SpatialTask]) -> None:
-        """Fold tasks into the reach aggregates and re-check the halo.
-
-        Runs *before* the base registration touches any state, so a
-        too-small halo raises with the engine unmodified (a guard firing
-        after registration would strand entities in the dicts but not in
-        the routing tables).
-        """
-        for task in tasks:
-            self._max_end = max(self._max_end, task.end)
-        self._guard_halo()
-
-    def _guard_workers(self, workers: Sequence[MovingWorker]) -> None:
-        """Fold workers into the reach aggregates and re-check the halo."""
-        for worker in workers:
-            self._min_depart = min(self._min_depart, worker.depart_time)
-            self._v_max = max(self._v_max, worker.velocity)
-        self._guard_halo()
-
-    def add_tasks(self, tasks: Sequence[SpatialTask]) -> None:
-        """Register tasks, halo-guarded before any state changes."""
-        self._guard_tasks(tasks)
-        super().add_tasks(tasks)
-
-    def add_workers(self, workers: Sequence[MovingWorker]) -> None:
-        """Register workers, halo-guarded before any state changes."""
-        self._guard_workers(workers)
-        super().add_workers(workers)
-
-    def update_workers(self, workers: Sequence[MovingWorker]) -> None:
-        """Refresh workers in place, halo-guarded before any state changes."""
-        self._guard_workers(workers)
-        super().update_workers(workers)
-
-    def _index_insert_tasks(self, tasks: Sequence[SpatialTask]) -> None:
-        with self.profiler.phase("route"):
-            for task in tasks:
-                shards = self.shard_map.shards_for_task(task.location)
-                self._task_shards[task.task_id] = shards
-                for shard_id in shards:
-                    self._buffer(shard_id, ev.TaskArrive(time=0.0, task=task))
-
-    def _index_remove_task(self, task_id: int) -> None:
-        with self.profiler.phase("route"):
-            for shard_id in self._task_shards.pop(task_id):
-                self._buffer(shard_id, ev.TaskWithdraw(time=0.0, task_id=task_id))
-
-    def _index_add_workers(self, workers: Sequence[MovingWorker]) -> None:
-        with self.profiler.phase("route"):
-            for worker in workers:
-                shard_id = self.shard_map.shard_of_point(worker.location)
-                self._worker_shard[worker.worker_id] = shard_id
-                self._buffer(shard_id, ev.WorkerArrive(time=0.0, worker=worker))
-
-    def _index_remove_worker(self, worker_id: int) -> None:
-        with self.profiler.phase("route"):
-            shard_id = self._worker_shard.pop(worker_id)
-            self._buffer(shard_id, ev.WorkerLeave(time=0.0, worker_id=worker_id))
-
-    def _index_update_workers(self, workers: Sequence[MovingWorker]) -> None:
-        with self.profiler.phase("route"):
-            for worker in workers:
-                new_shard = self.shard_map.shard_of_point(worker.location)
-                old_shard = self._worker_shard[worker.worker_id]
-                if new_shard == old_shard:
-                    self._buffer(
-                        new_shard, ev.WorkerUpdate(time=0.0, worker=worker)
-                    )
-                else:
-                    # A block-crossing move migrates the worker between
-                    # shard grids; its pairs move with it, so the merge
-                    # needs no cross-shard reconciliation.
-                    self._worker_shard[worker.worker_id] = new_shard
-                    self._buffer(
-                        old_shard,
-                        ev.WorkerLeave(time=0.0, worker_id=worker.worker_id),
-                    )
-                    self._buffer(
-                        new_shard, ev.WorkerArrive(time=0.0, worker=worker)
-                    )
-
-    # ------------------------------------------------------------------ #
-    # Fan-out retrieval
-    # ------------------------------------------------------------------ #
-
-    def current_pairs(self) -> List[ValidPair]:
-        """The live valid-pair set, merged across shards.
-
-        Routed churn since the previous fan-out is flushed first (each
-        shard applies its batch grouped per cell, then reports its pairs
-        incrementally); with nothing pending, the previous merge is
-        served again without touching the executor.  The merged list is
-        sorted by ``(task_id, worker_id)`` — a canonical order containing
-        exactly the single grid's pair set, which is all the (candidate-
-        canonicalising) problem build observes.
-        """
-        if self._merged is None:
-            batches, self._pending = self._pending, {}
-            merged: List[ValidPair] = []
-            with self.profiler.phase("index"):
-                for pairs, stats in self.executor.collect(batches):
-                    merged.extend(pairs)
-                    for key, delta in stats.items():
-                        self.grid.stats[key] += delta
-            with self.profiler.phase("merge"):
-                merged.sort(key=lambda pair: (pair.task_id, pair.worker_id))
-            self._merged = merged
-            self.fanouts += 1
-        return list(self._merged)
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-
-    def close(self) -> None:
-        """Release the shard executor and any owned solve executor.
-
-        Idempotent like the base close: the first call shuts the shard
-        pools *and* an engine-owned solve executor down (the base close
-        handles the latter — an engine-owned
-        :class:`~repro.engine.parallel.ParallelSolveExecutor` must not
-        outlive the sharded engine any more than the single one); repeats
-        are no-ops, and a later :meth:`epoch` fails with a clear error
-        instead of submitting to dead pools.
-        """
-        if self._closed:
-            return
-        self.executor.close()
-        super().close()

@@ -15,16 +15,14 @@ available again, and the platform periodically re-plans.
     The answer accuracy/error model ``beta * dtheta/pi + (1-beta) * dt/(e-s)``.
 ``events``
     Worker/task runtime records and the answer log.
-``incremental``
-    One Figure 10 update step: build the sub-instance of available workers
-    and open tasks (with committed contributions pinned in), solve, dispatch.
 ``simulator``
-    The clocked simulation loop and its Figure 18 metrics.
+    The clocked simulation loop and its Figure 18 metrics; each Figure 10
+    update step is one :meth:`repro.engine.engine.AssignmentEngine.epoch`
+    with the committed contributions pinned in as virtual workers.
 """
 
 from repro.platform_sim.accuracy import answer_accuracy, answer_error
 from repro.platform_sim.events import Answer, TaskRecord, WorkerRuntime
-from repro.platform_sim.incremental import incremental_update
 from repro.platform_sim.ratings import bootstrap_reliabilities
 from repro.platform_sim.reputation import BetaReputation, ReputationTracker
 from repro.platform_sim.simulator import (
@@ -45,5 +43,4 @@ __all__ = [
     "answer_accuracy",
     "answer_error",
     "bootstrap_reliabilities",
-    "incremental_update",
 ]

@@ -8,7 +8,8 @@ kill-and-resume test (and any supervisor) waits for that line before
 sending traffic.
 
 The flags mirror the engine's constructor knobs; a ``--shards N`` above
-1 serves a :class:`repro.engine.sharding.ShardedAssignmentEngine`.
+1 serves a :class:`repro.engine.elastic.ElasticShardedAssignmentEngine`
+on its static tiling.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Optional
 from repro.algorithms.greedy import GreedySolver
 from repro.algorithms.sampling import SamplingSolver
 from repro.engine.durable import DurableLog
+from repro.engine.elastic import ElasticShardedAssignmentEngine
 from repro.engine.engine import AssignmentEngine
-from repro.engine.sharding import ShardedAssignmentEngine
 from repro.serve.server import AssignmentServer
 
 
@@ -74,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 def build_solver(args: argparse.Namespace):
     """The solver instance the flags describe."""
     if args.solver == "greedy":
-        return GreedySolver()
-    return SamplingSolver(num_samples=args.samples)
+        return GreedySolver(backend=args.backend)
+    return SamplingSolver(num_samples=args.samples, backend=args.backend)
 
 
 def solver_from_log(durable_path: str):
@@ -94,10 +95,13 @@ def solver_from_log(durable_path: str):
     if not meta:
         raise SystemExit(f"{durable_path} holds no durable engine session")
     name = meta.get("solver")
-    config = meta.get("solver_config") or {}
+    config = dict(meta.get("solver_config") or {})
     if name == "GreedySolver":
         return GreedySolver(**config)
     if name == "SamplingSolver":
+        # ``rng_contract`` is a recorded constant, not a constructor knob;
+        # restore_engine's fingerprint check still compares it.
+        config.pop("rng_contract", None)
         return SamplingSolver(**config)
     raise SystemExit(
         f"cannot resume a session solved by {name!r} from the CLI; "
@@ -123,7 +127,7 @@ def build_server(args: argparse.Namespace) -> AssignmentServer:
         )
     solver = build_solver(args)
     if args.shards > 1:
-        engine = ShardedAssignmentEngine(
+        engine = ElasticShardedAssignmentEngine(
             solver=solver,
             eta=args.eta,
             rng=args.seed,

@@ -19,10 +19,12 @@ Overload policy, end to end:
   the handler awaits space, so the TCP window throttles the client) or
   is refused with an ``overloaded`` error (``admission="reject"``).
   Either way the engine is never driven past its buffer.
-* **Connection flow control** — each subscriber owns a bounded outbox
+* **Connection flow control** — each connection owns a bounded outbox
   drained by its own writer task (with TCP backpressure via ``drain``);
   a slow subscriber loses oldest-first decision frames
-  (``frames_dropped``) instead of stalling the epoch loop.
+  (``frames_dropped``) instead of stalling the epoch loop, while request
+  responses are never evicted — a full outbox pauses that connection's
+  read loop until the client drains its acks.
 
 Durability passes straight through: ``durable_path=`` hands the engine a
 WAL (:mod:`repro.engine.durable`), and :meth:`AssignmentServer.resume`
@@ -34,7 +36,8 @@ epochs are bit-identical to an uninterrupted run
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Set
+from collections import deque
+from typing import Any, Deque, Dict, Optional, Set, Tuple
 
 from repro.engine.durable import restore_engine
 from repro.engine.engine import AssignmentEngine, EpochResult
@@ -43,43 +46,80 @@ from repro.serve import protocol as proto
 from repro.serve.batcher import DEFAULT_CAPACITY, IngestBatcher, ServeMetrics
 from repro.serve.scheduler import DeadlineLoop, EngineDriver
 
-#: Decision frames a slow subscriber may queue before oldest-first drops.
+#: Per connection: decision pushes a slow subscriber may queue before
+#: oldest-first drops, and (separately) responses that may queue before
+#: the connection's read loop pauses.
 SUBSCRIBER_OUTBOX = 256
 
 
 class _Connection:
-    """Per-connection state: the writer, its outbox and its pump task."""
+    """Per-connection state: the writer, its outbox and its pump task.
+
+    The outbox holds ``(frame, sheddable)`` entries in send order.  Its
+    two frame kinds are bounded separately, :data:`SUBSCRIBER_OUTBOX`
+    each, and meet their bound differently: a request *response* is
+    never evicted — the read loop awaits room (:meth:`respond`), so a
+    client pipelining faster than it reads is throttled through its own
+    TCP window — while a decision *push* is sheddable (:meth:`push`
+    drops the oldest queued push, counted ``frames_dropped``).
+    """
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        self.outbox: asyncio.Queue = asyncio.Queue(maxsize=SUBSCRIBER_OUTBOX)
+        self.outbox: Deque[Tuple[Optional[bytes], bool]] = deque()
         self.pump: Optional[asyncio.Task] = None
         self.subscribed = False
+        self._queued = {False: 0, True: 0}  # by sheddable
+        self._ready = asyncio.Event()  # outbox non-empty
+        self._room = asyncio.Event()  # the pump popped a frame, or is gone
+        self._pump_done = False
+
+    def _put(self, frame: Optional[bytes], sheddable: bool) -> None:
+        self._queued[sheddable] += 1
+        self.outbox.append((frame, sheddable))
+        self._ready.set()
 
     async def run_pump(self) -> None:
         """Drain the outbox to the socket with TCP backpressure."""
         try:
             while True:
-                frame = await self.outbox.get()
+                while not self.outbox:
+                    self._ready.clear()
+                    await self._ready.wait()
+                frame, sheddable = self.outbox.popleft()
+                self._queued[sheddable] -= 1
+                self._room.set()
                 if frame is None:
                     break
                 self.writer.write(frame)
                 await self.writer.drain()
         except (ConnectionError, asyncio.CancelledError):
             pass
+        finally:
+            # A dead pump drains nothing: release a blocked respond().
+            self._pump_done = True
+            self._room.set()
 
-    def send(self, frame: bytes, metrics: ServeMetrics) -> None:
-        """Queue a frame, dropping the oldest push when the outbox is full."""
-        while True:
-            try:
-                self.outbox.put_nowait(frame)
-                return
-            except asyncio.QueueFull:
-                try:
-                    self.outbox.get_nowait()
-                    metrics.frames_dropped += 1
-                except asyncio.QueueEmpty:  # raced with the pump
-                    continue
+    async def respond(self, frame: bytes) -> None:
+        """Queue a response, waiting for room instead of evicting anything."""
+        while self._queued[False] >= SUBSCRIBER_OUTBOX and not self._pump_done:
+            self._room.clear()
+            await self._room.wait()
+        if not self._pump_done:
+            self._put(frame, False)
+
+    def push(self, frame: bytes, metrics: ServeMetrics) -> None:
+        """Queue a decision push, dropping the oldest push when at the bound."""
+        if self._queued[True] >= SUBSCRIBER_OUTBOX:
+            oldest = next(i for i, entry in enumerate(self.outbox) if entry[1])
+            del self.outbox[oldest]
+            self._queued[True] -= 1
+            metrics.frames_dropped += 1
+        self._put(frame, True)
+
+    def stop(self) -> None:
+        """Queue the pump's stop sentinel behind every pending frame."""
+        self._put(None, False)
 
 
 class AssignmentServer:
@@ -208,7 +248,7 @@ class AssignmentServer:
     async def _close_connection(self, connection: _Connection) -> None:
         self._connections.discard(connection)
         if connection.pump is not None:
-            connection.outbox.put_nowait(None)
+            connection.stop()
             try:
                 await asyncio.wait_for(connection.pump, timeout=1.0)
             except asyncio.TimeoutError:
@@ -229,7 +269,7 @@ class AssignmentServer:
         frame = proto.encode_push("epoch", payload)
         for connection in list(self._connections):
             if connection.subscribed:
-                connection.send(frame, self.metrics)
+                connection.push(frame, self.metrics)
                 self.metrics.frames_streamed += 1
         # An epoch drained the batcher: wake producers blocked on space.
         async with self._space:
@@ -383,22 +423,20 @@ class AssignmentServer:
                     break
                 if len(line) > proto.MAX_FRAME_BYTES:
                     self.metrics.protocol_errors += 1
-                    connection.send(
-                        proto.encode_error(None, "frame", "frame too large"),
-                        self.metrics,
+                    await connection.respond(
+                        proto.encode_error(None, "frame", "frame too large")
                     )
                     continue
                 try:
                     request = proto.decode_request(line)
                 except proto.ProtocolError as exc:
                     self.metrics.protocol_errors += 1
-                    connection.send(
-                        proto.encode_error(None, exc.code, str(exc)),
-                        self.metrics,
+                    await connection.respond(
+                        proto.encode_error(None, exc.code, str(exc))
                     )
                     continue
                 response = await self._handle_request(request, connection)
-                connection.send(response, self.metrics)
+                await connection.respond(response)
         finally:
             await self._close_connection(connection)
 

@@ -184,17 +184,6 @@ SMOKE_RUNNERS = {
         eta=0.125,
         write_json=False,
     ),
-    "bench_sharding": lambda m: m.run_sharding_experiment(
-        num_tasks=8,
-        num_workers=40,
-        epochs=2,
-        moves=10,
-        worker_churn=2,
-        task_churn=1,
-        eta=0.125,
-        include_process=False,
-        write_json=False,
-    ),
     "bench_table2_config": run_table2,
 }
 

@@ -12,18 +12,13 @@ import numpy as np
 import pytest
 
 from repro.algorithms.greedy import GreedySolver
-from repro.algorithms.sampling import (
-    SHARED_STREAM_V0,
-    SamplingSolver,
-    substream_base_seed,
-)
+from repro.algorithms.sampling import SamplingSolver, substream_base_seed
 from repro.core.diversity import WorkerProfile
 from repro.dynamic import CrowdsourcingSession
 from repro.engine import (
     AssignmentEngine,
     ElasticShardedAssignmentEngine,
     RebalancePolicy,
-    ShardedAssignmentEngine,
 )
 from repro.engine.durable import (
     DurableLog,
@@ -100,12 +95,11 @@ class TestCodecs:
         with pytest.raises(ValueError, match="deterministic rng"):
             rng_spec(None)
 
-    @pytest.mark.parametrize("contract", ["substream-v1", SHARED_STREAM_V0])
-    def test_substream_position_round_trip(self, contract):
+    def test_substream_position_round_trip(self):
         # The bug being pinned: ``substream_base_seed`` draws one integer
         # per SAMPLING solve from the engine's stream, so a restore that
         # re-seeded from scratch would draw different base seeds and
-        # silently diverge every subsequent plan — under *both* contracts.
+        # silently diverge every subsequent plan.
         generator = np.random.default_rng(23)
         for _ in range(4):  # four solves already happened
             substream_base_seed(generator)
@@ -307,7 +301,9 @@ class TestKillAndRecover:
                 durable_snapshot_every=2,
             )
             if num_shards > 1:
-                return ShardedAssignmentEngine(num_shards=num_shards, **kwargs)
+                return ElasticShardedAssignmentEngine(
+                    num_shards=num_shards, **kwargs
+                )
             return AssignmentEngine(**kwargs)
 
         reference_plans, reference_counters = self.run_reference(make_engine)
@@ -320,6 +316,43 @@ class TestKillAndRecover:
             assert any(mode == "warm" for _, mode in recovered_plans[
                 self.KILL_AFTER :
             ]), "warm repair must survive recovery (plan is in the snapshot)"
+
+    def test_static_sharded_era_log_restores_onto_the_merged_engine(self, tmp_path):
+        # Logs written by the retired ``ShardedAssignmentEngine`` name that
+        # class in the meta row and carry no rebalance/diff_shipping keys;
+        # they must come back as the merged engine on its static tiling
+        # and continue bit-identically.
+        def make_engine(path):
+            return ElasticShardedAssignmentEngine(
+                solver=GreedySolver(),
+                rng=9,
+                num_shards=4,
+                durable_path=path,
+                durable_snapshot_every=2,
+            )
+
+        path = tmp_path / "static-era.db"
+        engine = make_engine(path)
+        assert engine.durable.meta()["engine"] == "ElasticShardedAssignmentEngine"
+        seed_population(engine)
+        churn = ScriptedChurn()
+        plans = drive(engine, churn, self.KILL_AFTER)
+        del engine  # crash: no close(), no flush beyond the WAL
+        with DurableLog(path) as log:
+            log.set_meta({"engine": "ShardedAssignmentEngine"})
+            log._conn.execute(
+                "DELETE FROM meta WHERE key IN ('rebalance', 'diff_shipping')"
+            )
+            log._conn.commit()
+
+        recovered = restore_engine(path, solver=GreedySolver())
+        assert isinstance(recovered, ElasticShardedAssignmentEngine)
+        assert recovered.policy is None and recovered.diff_shipping
+        plans += drive(recovered, churn, self.EPOCHS, start=self.KILL_AFTER)
+        assert (plans, recovered.metrics.counters()) == self.run_reference(
+            make_engine
+        )
+        recovered.close()
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_sampling_stream_position_survives_recovery(self, backend, tmp_path):

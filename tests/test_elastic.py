@@ -2,7 +2,8 @@
 
 The contract under test is the standing invariant of
 :class:`~repro.engine.elastic.ElasticShardedAssignmentEngine`: for any
-shard count, any rebalance schedule (including none, and including
+shard count, any rebalance schedule (``rebalance=None`` — the static
+tiling, whose random-op differential is ``tests/test_sharding.py`` — and
 aggressive split/merge/migrate churn) and either resident executor, the
 per-epoch plans *and* the :meth:`EngineMetrics.counters` lifetime
 counters are bit-identical to the single-shard engine on the same churn
@@ -29,7 +30,6 @@ from repro.engine import (
     AssignmentEngine,
     ElasticShardedAssignmentEngine,
     RebalancePolicy,
-    ShardedAssignmentEngine,
 )
 from repro.engine.elastic import ResidentShard
 from repro.geometry.points import Point
@@ -120,15 +120,31 @@ class TestElasticDifferential:
             "marching", backend=backend, solve_mode=solve_mode
         )
 
-    def test_matches_static_sharded_twin(self):
-        # The static-vs-elastic axis head to head: same event stream into
-        # the batch-shipping sharded engine and the diff-shipping elastic
-        # one (with live reshapes), identical plans out.
-        static = ShardedAssignmentEngine(
-            solver=GreedySolver(), eta=ETA, rng=3, backend="numpy", num_shards=4
+    @pytest.mark.parametrize("scenario", sorted(DRIFT_SCENARIOS))
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_static_topology_matches_single_engine_under_drift(
+        self, scenario, num_shards
+    ):
+        # The other end of the rebalance axis: no policy, so the tiling
+        # never reshapes and the drift piles load onto whichever block it
+        # visits (one shard is a single block either way, covered above).
+        engine = make_elastic(num_shards, rebalance=None)
+        plans, counters = run_scenario(engine, scenario)
+        assert (plans, counters) == reference_run(scenario)
+        assert engine.shard_map.topology_version == 0
+
+    @pytest.mark.parametrize(
+        "backend,solve_mode",
+        [("python", "full"), ("python", "warm"), ("numpy", "warm")],
+    )
+    def test_static_topology_backend_and_mode_matrix(self, backend, solve_mode):
+        engine = make_elastic(
+            4, backend=backend, solve_mode=solve_mode, rebalance=None
         )
-        elastic = make_elastic(4)
-        assert run_scenario(static, "hotspot") == run_scenario(elastic, "hotspot")
+        plans, counters = run_scenario(engine, "marching")
+        assert (plans, counters) == reference_run(
+            "marching", backend=backend, solve_mode=solve_mode
+        )
 
     def test_marching_drift_provokes_rebalances(self):
         engine = make_elastic(4)
@@ -143,6 +159,16 @@ class TestElasticDifferential:
         finally:
             engine.close()
         assert (plans, counters) == reference_run("marching", solve_mode="warm")
+
+    def test_static_topology_process_executor_differential(self):
+        engine = make_elastic(
+            4, solve_mode="warm", executor="process", rebalance=None
+        )
+        try:
+            plans, counters = run_scenario(engine, "oscillating")
+        finally:
+            engine.close()
+        assert (plans, counters) == reference_run("oscillating", solve_mode="warm")
 
     def test_full_reship_mode_is_identical(self):
         # diff_shipping=False re-ships every resident's full state each

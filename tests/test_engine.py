@@ -290,6 +290,26 @@ class TestEpoch:
         assert result.num_workers == 2  # one real + one virtual
         assert not engine.assignment.is_assigned(-1)
 
+    def test_virtual_workers_carry_the_committed_profile_on_one_pair(self):
+        engine = AssignmentEngine(solver=GreedySolver())
+        engine.add_task(make_task(0, x=0.45, y=0.5))
+        engine.add_task(make_task(1, x=0.55, y=0.5))
+        engine.add_worker(make_worker(0, x=0.4, y=0.5, velocity=0.2))
+        pinned = {
+            0: [WorkerProfile(-1, 1.25, 4.0, 0.65)],
+            1: [WorkerProfile(-2, 2.0, 3.0, 0.8)],
+        }
+        problem, virtual_ids = engine.build_problem(pinned=pinned)
+        assert len(virtual_ids) == 2
+        # Each committed contribution is pinned to its own task only ...
+        assert all(problem.degree(vid) == 1 for vid in virtual_ids)
+        # ... and contributes exactly the committed angle/arrival/confidence.
+        vid = next(v for v in virtual_ids if list(problem.candidate_tasks(v)) == [0])
+        profile = problem.pair_profile(0, vid)
+        assert profile.arrival == pytest.approx(4.0)
+        assert profile.angle == pytest.approx(1.25, abs=1e-6)
+        assert profile.confidence == pytest.approx(0.65)
+
     def test_pinned_expired_task_dropped(self):
         engine = AssignmentEngine(solver=GreedySolver())
         engine.add_task(make_task(0, x=0.5, y=0.5, end=10.0))
@@ -426,21 +446,21 @@ class TestCloseLifecycle:
             engine.epoch(1.0)
 
     def test_sharded_engine_close_is_idempotent(self):
-        from repro.engine import ShardedAssignmentEngine
+        from repro.engine import ElasticShardedAssignmentEngine
 
-        engine = ShardedAssignmentEngine(solver=GreedySolver(), num_shards=2)
+        engine = ElasticShardedAssignmentEngine(solver=GreedySolver(), num_shards=2)
         populate_small(engine)
         engine.epoch(0.0)
         engine.close()
         engine.close()
 
     def test_sharded_engine_closes_owned_solve_executor(self):
-        # The regression: ShardedAssignmentEngine.close() used to release
+        # The regression: the sharded engine's close() used to release
         # only the shard executor, leaking the engine-built solve
         # executor's pinned worker processes.
-        from repro.engine import ShardedAssignmentEngine
+        from repro.engine import ElasticShardedAssignmentEngine
 
-        engine = ShardedAssignmentEngine(
+        engine = ElasticShardedAssignmentEngine(
             solver=GreedySolver(), num_shards=2, solve_executor=2
         )
         populate_small(engine)
@@ -451,9 +471,9 @@ class TestCloseLifecycle:
             executor.pools()
 
     def test_sharded_engine_epoch_after_close_raises(self):
-        from repro.engine import ShardedAssignmentEngine
+        from repro.engine import ElasticShardedAssignmentEngine
 
-        engine = ShardedAssignmentEngine(solver=GreedySolver(), num_shards=2)
+        engine = ElasticShardedAssignmentEngine(solver=GreedySolver(), num_shards=2)
         populate_small(engine)
         engine.close()
         with pytest.raises(RuntimeError, match="engine is closed"):

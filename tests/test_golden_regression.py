@@ -47,23 +47,15 @@ def golden_problem(backend: str = "python"):
 def golden_solvers():
     """Fresh solver instances, keyed as in the fixture.
 
-    SAMPLING appears under both determinism contracts: the default
-    substream contract (``"SAMPLING"`` / ``"SAMPLING-numpy"``, the pinned
-    fixture for the pool-size-independent plans the parallel solve
-    subsystem relies on) and the legacy shared-stream flag
-    (``"SAMPLING-legacy"``), so a drift in either contract's draw order
-    shows up here.
+    ``"SAMPLING"`` / ``"SAMPLING-numpy"`` pin the substream contract's
+    draw order — the fixture for the pool-size-independent plans the
+    parallel solve subsystem relies on — so a drift in it shows up here.
     """
-    from repro.algorithms.sampling import SHARED_STREAM_V0
-
     return {
         "GREEDY": GreedySolver(),
         "GREEDY-numpy": GreedySolver(backend="numpy"),
         "SAMPLING": SamplingSolver(num_samples=64),
         "SAMPLING-numpy": SamplingSolver(num_samples=64, backend="numpy"),
-        "SAMPLING-legacy": SamplingSolver(
-            num_samples=64, rng_contract=SHARED_STREAM_V0
-        ),
         "D&C": DivideConquerSolver(
             gamma=4, base_solver=SamplingSolver(num_samples=64)
         ),

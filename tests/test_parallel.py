@@ -6,8 +6,7 @@ What is pinned here:
   under :data:`repro.algorithms.sampling.SUBSTREAM_V1` the solved plan is
   bit-identical at executor pool sizes 0 (inline chunks), 1, 2 and 4 and
   to the serial no-executor path, on both backends, with seed-identity
-  *across* backends; the legacy shared-stream flag reproduces its own
-  (different) plan and refuses to fan out.
+  *across* backends; the contract is a recorded constant, not a knob.
 * **Chunk-scorer equivalence** — :class:`SampleChunkScorer` produces the
   exact floats of :func:`repro.core.objectives.evaluate_assignment` for
   every drawn sample (the memo only skips recomputation).
@@ -19,7 +18,7 @@ What is pinned here:
   stream; the differential classes carry the ``churn`` marker.
 
 The golden fixture (``tests/fixtures/golden_small.json``) additionally
-pins the substream contract's exact objectives next to the legacy flag's.
+pins the substream contract's exact objectives.
 """
 
 import numpy as np
@@ -27,20 +26,17 @@ import pytest
 
 from repro.algorithms import GreedySolver, SamplingSolver
 from repro.algorithms.random_assign import draw_random_assignment
-from repro.algorithms.sampling import (
-    SHARED_STREAM_V0,
-    SUBSTREAM_V1,
-    substream_rng,
-)
+from repro.algorithms.sampling import SUBSTREAM_V1, substream_rng
 from repro.core.objectives import evaluate_assignment
 from repro.datagen import ExperimentConfig, generate_problem
 from repro.dynamic import CrowdsourcingSession
 from repro.engine import (
     AssignmentEngine,
+    ElasticShardedAssignmentEngine,
     ParallelSolveExecutor,
     ShardMap,
-    ShardedAssignmentEngine,
 )
+from repro.engine.durable import solver_config
 from repro.engine.parallel import (
     PinnedWorkerPools,
     SampleChunkScorer,
@@ -75,7 +71,7 @@ class TestSubstreamContract:
     def test_substream_serial_is_deterministic(self):
         problem = problem_for()
         solver = SamplingSolver(num_samples=24)
-        assert solver.rng_contract == SUBSTREAM_V1
+        assert solver_config(solver)["rng_contract"] == SUBSTREAM_V1
         assert plan_key(solver.solve(problem, rng=5)) == plan_key(
             solver.solve(problem, rng=5)
         )
@@ -97,20 +93,11 @@ class TestSubstreamContract:
         b = SamplingSolver(num_samples=24, backend="numpy").solve(problem, rng=9)
         assert plan_key(a) == plan_key(b)
 
-    def test_legacy_flag_differs_and_refuses_fanout(self):
-        problem = problem_for()
-        substream = SamplingSolver(num_samples=24).solve(problem, rng=5)
-        legacy_solver = SamplingSolver(num_samples=24, rng_contract=SHARED_STREAM_V0)
-        legacy = legacy_solver.solve(problem, rng=5)
-        # Different contract, different draws (same instance, same seed).
-        assert plan_key(legacy) != plan_key(substream)
-        with ParallelSolveExecutor(processes=0) as executor:
-            with pytest.raises(ValueError, match="substream"):
-                executor.bind(legacy_solver)
-
     def test_unknown_contract_rejected(self):
-        with pytest.raises(ValueError, match="rng_contract"):
-            SamplingSolver(rng_contract="substream-v0")
+        # The contract is a recorded constant, not a knob: asking for any
+        # other draw order fails loudly instead of being ignored.
+        with pytest.raises(TypeError, match="rng_contract"):
+            SamplingSolver(rng_contract="shared-v0")
 
     def test_sample_i_depends_only_on_base_and_index(self):
         problem = problem_for()
@@ -330,7 +317,7 @@ class TestEngineWiring:
         def build():
             return (
                 AssignmentEngine(solver=GreedySolver(), rng=2),
-                ShardedAssignmentEngine(
+                ElasticShardedAssignmentEngine(
                     solver=GreedySolver(),
                     rng=2,
                     num_shards=4,

@@ -5,8 +5,6 @@ import math
 import pytest
 
 from repro.algorithms import GreedySolver, SamplingSolver
-from repro.core.diversity import WorkerProfile
-from repro.core.validity import ValidityRule
 from repro.geometry.points import Point
 from repro.platform_sim import (
     PlatformConfig,
@@ -14,13 +12,11 @@ from repro.platform_sim import (
     answer_accuracy,
     answer_error,
     bootstrap_reliabilities,
-    incremental_update,
 )
 from repro.platform_sim.accuracy import task_accuracy
 from repro.platform_sim.events import WorkerRuntime, WorkerStatus
-from repro.platform_sim.incremental import build_update_problem
 from repro.platform_sim.ratings import rate_photo
-from tests.conftest import make_task, make_worker
+from tests.conftest import make_worker
 
 
 class TestRatings:
@@ -94,63 +90,6 @@ class TestWorkerRuntime:
         runtime = WorkerRuntime(make_worker(0))
         with pytest.raises(ValueError):
             runtime.complete_trip(Point(0, 0), 0.0)
-
-
-class TestIncrementalUpdate:
-    def _setup(self):
-        tasks = [
-            make_task(0, x=0.45, y=0.5, start=0.0, end=10.0),
-            make_task(1, x=0.55, y=0.5, start=0.0, end=10.0),
-        ]
-        workers = [
-            make_worker(0, x=0.4, y=0.5, velocity=0.2, confidence=0.9),
-            make_worker(1, x=0.6, y=0.5, velocity=0.2, confidence=0.8),
-        ]
-        return tasks, workers
-
-    def test_dispatch_only_real_workers(self):
-        tasks, workers = self._setup()
-        committed = {0: [WorkerProfile(-99, 1.0, 2.0, 0.7)]}
-        dispatch = incremental_update(
-            tasks, workers, committed, GreedySolver(), 0.0, ValidityRule(), rng=1
-        )
-        assert all(worker_id >= 0 for worker_id in dispatch)
-        assert set(dispatch) <= {0, 1}
-
-    def test_empty_inputs(self):
-        tasks, workers = self._setup()
-        rule = ValidityRule()
-        assert incremental_update([], workers, {}, GreedySolver(), 0.0, rule) == {}
-        assert incremental_update(tasks, [], {}, GreedySolver(), 0.0, rule) == {}
-
-    def test_virtual_workers_pinned_to_their_task(self):
-        tasks, workers = self._setup()
-        committed = {
-            0: [WorkerProfile(-1, 0.5, 1.0, 0.9)],
-            1: [WorkerProfile(-2, 2.0, 3.0, 0.8)],
-        }
-        problem = build_update_problem(tasks, workers, committed, 0.0, ValidityRule())
-        virtual_ids = [w.worker_id for w in problem.workers if w.worker_id < 0]
-        assert len(virtual_ids) == 2
-        for vid in virtual_ids:
-            assert problem.degree(vid) == 1
-
-    def test_committed_profile_preserved(self):
-        tasks, workers = self._setup()
-        committed = {0: [WorkerProfile(-1, 1.25, 4.0, 0.65)]}
-        problem = build_update_problem(tasks, workers, committed, 0.0, ValidityRule())
-        vid = next(w.worker_id for w in problem.workers if w.worker_id < 0)
-        profile = problem.pair_profile(0, vid)
-        assert profile.arrival == pytest.approx(4.0)
-        assert profile.angle == pytest.approx(1.25, abs=1e-6)
-        assert profile.confidence == pytest.approx(0.65)
-
-    def test_forbidden_pairs_excluded(self):
-        tasks, workers = self._setup()
-        problem = build_update_problem(
-            tasks, workers, {}, 0.0, ValidityRule(), forbidden_pairs={(0, 0)}
-        )
-        assert 0 not in problem.candidate_tasks(0) or problem.degree(0) == 0
 
 
 class TestPlatformConfig:

@@ -35,14 +35,14 @@ from repro.algorithms.greedy import GreedySolver
 from repro.engine import events as ev
 from repro.engine.engine import AssignmentEngine
 from repro.engine.scheduler import EventQueue
-from repro.engine.sharding import ShardedAssignmentEngine
+from repro.engine.elastic import ElasticShardedAssignmentEngine
 from repro.geometry.points import Point
 from repro.serve import protocol as proto
 from repro.serve.batcher import IngestBatcher, ServeMetrics, fold_trace
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.loadgen import LoadGenerator, percentile
 from repro.serve.scheduler import DeadlineLoop, EngineDriver
-from repro.serve.server import AssignmentServer
+from repro.serve.server import SUBSCRIBER_OUTBOX, AssignmentServer, _Connection
 from tests.conftest import ScriptedChurn, make_task, make_worker
 
 ETA = 0.125
@@ -130,7 +130,7 @@ def build_engine(backend="python", num_shards=1, seed=5):
         return AssignmentEngine(
             solver=GreedySolver(), eta=ETA, rng=seed, backend=backend
         )
-    return ShardedAssignmentEngine(
+    return ElasticShardedAssignmentEngine(
         solver=GreedySolver(),
         eta=ETA,
         rng=seed,
@@ -544,6 +544,79 @@ class TestServerWire:
 
         assert asyncio.run(scenario())
 
+    def test_pipelined_requests_each_get_their_response(self):
+        # The regression: responses used to share the drop-oldest
+        # subscriber outbox, so a client with more than 256 requests in
+        # flight silently lost acks.  Pipeline well past that before
+        # reading anything; only decision pushes may ever be shed.
+        requests = [proto.Subscribe(0)]
+        requests += [
+            proto.WorkerPing(k, 0.0, make_worker(k, x=(k % 97) / 97.0, y=0.5))
+            for k in range(1, 1201)
+        ]
+        requests.append(proto.Epoch(1201, 1.0))
+
+        async def scenario():
+            async with AssignmentServer(build_engine()) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.bound_port
+                )
+                writer.write(b"".join(map(proto.encode_request, requests)))
+                await writer.drain()
+                answered, pushes = [], 0
+                while len(answered) < len(requests):
+                    line = await asyncio.wait_for(reader.readline(), timeout=30.0)
+                    frame = proto.decode_frame(line)
+                    if "push" in frame:
+                        pushes += 1
+                    else:
+                        assert frame["ok"], frame
+                        answered.append(frame["id"])
+                writer.close()
+                await writer.wait_closed()
+                return answered, pushes, server.metrics
+
+        answered, pushes, metrics = asyncio.run(scenario())
+        assert sorted(answered) == list(range(len(requests)))
+        assert metrics.frames_streamed == 1
+        assert metrics.frames_dropped == metrics.frames_streamed - pushes == 0
+
+    def test_outbox_sheds_oldest_pushes_and_blocks_on_responses(self):
+        class Writer:
+            def __init__(self):
+                self.frames = []
+
+            def write(self, frame):
+                self.frames.append(frame)
+
+            async def drain(self):
+                await asyncio.sleep(0)
+
+        async def scenario():
+            writer, metrics = Writer(), ServeMetrics()
+            connection = _Connection(writer)  # pump not started: nothing drains
+            await connection.respond(b"ack")
+            for index in range(SUBSCRIBER_OUTBOX + 3):
+                connection.push(b"push-%d" % index, metrics)
+            assert metrics.frames_dropped == 3
+            queued = [frame for frame, _ in connection.outbox]
+            assert queued[:2] == [b"ack", b"push-3"]  # oldest pushes went first
+            for _ in range(SUBSCRIBER_OUTBOX - 1):
+                await connection.respond(b"ack")
+            late = asyncio.ensure_future(connection.respond(b"late"))
+            await asyncio.sleep(0)
+            assert not late.done()  # at the bound: waits, evicts nothing
+            connection.pump = asyncio.ensure_future(connection.run_pump())
+            await asyncio.wait_for(late, timeout=5.0)
+            connection.stop()
+            await asyncio.wait_for(connection.pump, timeout=5.0)
+            return writer.frames, metrics
+
+        frames, metrics = asyncio.run(scenario())
+        assert frames.count(b"ack") == SUBSCRIBER_OUTBOX
+        assert frames[-1] == b"late"
+        assert metrics.frames_dropped == 3  # pushes only
+
     def test_expire_over_the_wire_frees_task_ids(self):
         async def scenario():
             async with AssignmentServer(build_engine()) as server:
@@ -681,6 +754,29 @@ async def _drive_epochs(port, population, steps, first, last):
             result = await client.epoch(float(k))
             plans.append([tuple(p) for p in result["dispatch"]])
     return plans
+
+
+class TestCli:
+    def test_backend_flag_reaches_engine_and_solver(self):
+        # The regression: build_solver ignored --backend, so a numpy engine
+        # was served by a python-only solver.
+        from repro.serve.__main__ import build_parser, build_server
+
+        async def scenario(*argv):
+            server = build_server(build_parser().parse_args(argv))
+            engine = server.engine
+            try:
+                return type(engine.solver).__name__, engine.backend, engine.solver.backend
+            finally:
+                engine.close()
+
+        assert asyncio.run(scenario("--backend", "numpy")) == (
+            "GreedySolver", "numpy", "numpy",
+        )
+        assert asyncio.run(
+            scenario("--backend", "numpy", "--solver", "sampling", "--shards", "2")
+        ) == ("SamplingSolver", "numpy", "numpy")
+        assert asyncio.run(scenario())[1:] == ("python", "python")
 
 
 @pytest.mark.churn

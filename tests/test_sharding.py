@@ -1,14 +1,17 @@
-"""Shard/no-shard differential equivalence and shard-map geometry.
+"""Shard-map geometry and the static-topology shard/no-shard differential.
 
 The contract under test is the bit-identity acceptance bar of the
-sharded engine: on the same churn event stream — arrive / leave / update
-/ expire, including workers parked exactly on block boundaries and halo
-crossings — a :class:`ShardedAssignmentEngine` at any shard count, on
-either executor, produces exactly the single-shard engine's valid pairs
-(ids *and* arrivals), assignments and objectives, epoch after epoch.
-Alongside: :class:`ShardMap` partition/routing geometry, the halo
-invariant guard, and the session façade's sharded mode.  The
-differential classes carry the ``churn`` marker (``pytest -m churn``).
+sharded engine on its static tiling (``rebalance=None``): on the same
+churn event stream — arrive / leave / update / expire, including workers
+parked exactly on block boundaries and halo crossings — an
+:class:`ElasticShardedAssignmentEngine` at any shard count, on either
+executor, produces exactly the unsharded engine's valid pairs (ids *and*
+arrivals), assignments and objectives, epoch after epoch.  Alongside:
+:class:`ShardMap` partition/routing geometry, the halo invariant guard,
+the :class:`ResidentShard` report contract, and the session façade's
+sharded mode.  The rebalancing half of the invariant lives in
+``tests/test_elastic.py``.  The differential classes carry the ``churn``
+marker (``pytest -m churn``).
 """
 
 import math
@@ -18,8 +21,16 @@ import pytest
 
 from repro.algorithms import GreedySolver, SamplingSolver
 from repro.dynamic import CrowdsourcingSession
-from repro.engine import AssignmentEngine, ShardMap, ShardedAssignmentEngine
-from repro.engine.sharding import ShardState, _rect_distance
+from repro.engine import (
+    AssignmentEngine,
+    ElasticShardedAssignmentEngine,
+    ResidentShard,
+    ShardDiff,
+    ShardMap,
+)
+from repro.engine.elastic import task_digest, worker_digest
+from repro.engine.sharding import _rect_distance
+from repro.fastpath.arrays import pack_diff
 from repro.geometry.points import Point
 from repro.index.grid import cell_coords
 from tests.conftest import make_pools as shared_make_pools
@@ -156,7 +167,7 @@ class MirrorDriver:
             eta=ETA, rng=seed, backend=backend, solve_mode=solve_mode
         )
         self.single = AssignmentEngine(solver=make_solver(), **common)
-        self.sharded = ShardedAssignmentEngine(
+        self.sharded = ElasticShardedAssignmentEngine(
             solver=make_solver(),
             num_shards=num_shards,
             halo=halo,
@@ -308,7 +319,7 @@ class TestHaloBoundary:
 
     def _engines(self, halo, num_shards=2):
         single = AssignmentEngine(solver=GreedySolver(), eta=ETA, rng=1)
-        sharded = ShardedAssignmentEngine(
+        sharded = ElasticShardedAssignmentEngine(
             solver=GreedySolver(), eta=ETA, rng=1,
             num_shards=num_shards, halo=halo,
         )
@@ -364,7 +375,7 @@ class TestHaloBoundary:
         assert sharded._worker_shard[0] == 1
 
     def test_halo_guard_raises_when_reach_outgrows_halo(self):
-        sharded = ShardedAssignmentEngine(
+        sharded = ElasticShardedAssignmentEngine(
             solver=GreedySolver(), eta=ETA, num_shards=2, halo=0.05
         )
         sharded.add_task(make_task(0, end=1.0))
@@ -382,26 +393,41 @@ class TestHaloBoundary:
 
 class TestShardStateAndSession:
     def test_shard_state_reports_stat_deltas(self):
-        from repro.engine import TaskArrive, WorkerArrive
-
-        state = ShardState(0, ETA)
-        pairs, delta = state.collect(
-            [
-                TaskArrive(time=0.0, task=make_task(0, x=0.1, y=0.1, end=5.0)),
-                WorkerArrive(time=0.0, worker=make_worker(0, x=0.1, y=0.1)),
-            ]
+        task = make_task(0, x=0.1, y=0.1, end=5.0)
+        worker = make_worker(0, x=0.1, y=0.1)
+        fingerprint = task_digest(task) ^ worker_digest(worker)
+        resident = ResidentShard(0, ETA)
+        kind, version, pairs, delta = resident.apply(
+            ShardDiff(
+                shard_id=0,
+                base_version=0,
+                version=1,
+                full=False,
+                runs=pack_diff(
+                    [("task_arrive", [task]), ("worker_arrive", [worker])]
+                ),
+                fingerprint=fingerprint,
+            )
         )
+        assert (kind, version) == ("ok", 1)
         assert len(pairs) == 1
         assert delta["pair_cache_misses"] == 1
-        _, again = state.collect([])
+        _, _, _, again = resident.apply(
+            ShardDiff(
+                shard_id=0,
+                base_version=1,
+                version=2,
+                full=False,
+                runs=pack_diff([]),
+                fingerprint=fingerprint,
+            )
+        )
         assert again["pair_cache_misses"] == 0
         assert again["pair_cache_hits"] == 1
 
     def test_unroutable_event_rejected(self):
-        from repro.engine.events import EpochTick
-
         with pytest.raises(TypeError):
-            ShardState(0, ETA).collect([EpochTick(time=0.0)])
+            ResidentShard(0, ETA)._apply_runs([("epoch_tick", [])])
 
     def test_sharded_session_matches_unsharded(self):
         tasks, workers = make_pools(23, num_tasks=20, num_workers=40)
@@ -410,7 +436,8 @@ class TestShardStateAndSession:
         sharded = CrowdsourcingSession(
             solver=GreedySolver(), eta=ETA, rng=2, num_shards=4, halo=halo
         )
-        assert isinstance(sharded.engine, ShardedAssignmentEngine)
+        assert isinstance(sharded.engine, ElasticShardedAssignmentEngine)
+        assert sharded.engine.policy is None
         for session in (plain, sharded):
             for task in tasks:
                 session.add_task(task)

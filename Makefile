@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test benchsmoke bench-fastpath bench-incremental bench-warmstart bench-elastic bench-parallel bench-durability bench-dstd bench-serve docs-lint bench golden e2e-smoke
+.PHONY: test benchsmoke bench-fastpath bench-incremental bench-warmstart bench-elastic bench-parallel bench-durability bench-dstd bench-serve docs-lint bench golden e2e-smoke pairs
 
 # Tier-1 verification (the command CI runs).
 test:
@@ -52,6 +52,13 @@ bench-serve:
 # catches a broken benchmark-facing name before the perf gate does.
 e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e -q
+
+# Paired parent-vs-change runs of one BENCHMARK.json workload, with the
+# win count and the median-gap-vs-parent-quartile verdict per metric:
+#   make pairs WORKLOAD=solve_full PARENT=HEAD~1 [PAIRS=10]
+PAIRS ?= 10
+pairs:
+	$(PYTHON) tools/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS)
 
 # Docstring lint: engine-era packages + benchmarks/ + examples/ (CI runs
 # this; the default target set lives in tools/docs_lint.py).

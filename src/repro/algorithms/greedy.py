@@ -4,35 +4,34 @@ In each of up to ``n`` rounds the solver scores every candidate
 (task, worker) pair by the increase it would cause in the two objectives —
 ``(Δmin_R, ΔE[STD])`` — filters out Pareto-dominated pairs, ranks the
 survivors by how many pairs they dominate (the [22] dominating score), and
-commits the top pair.
+commits the top pair.  With ``use_pruning=True`` (the default) the
+Section 4.3 bounds discard provably inferior pairs before any exact
+``ΔE[STD]`` work is spent on them (Lemma 4.3).
 
-Two optimisations keep the inner loop honest at scale:
+The same rounds run in two shapes, pinned to identical selections,
+objectives and stats:
 
-* Exact ``ΔE[STD]`` values are cached per (task, worker) and invalidated
-  only when the task's worker set changes; ``Δmin_R`` is O(1) from the
-  evaluator's (min, second-min) reliability pair.
-* With ``use_pruning=True`` (the default), the Section 4.3 bound-based
-  pruning discards provably inferior pairs before any exact ``ΔE[STD]``
-  work is spent on them (Lemma 4.3).
-* With ``backend="numpy"`` the per-round ``Δmin_R`` scoring and the
-  Lemma 4.3 sweep run as :mod:`repro.fastpath` array kernels over all
-  candidates at once — same selections, same result, less interpreter
-  time per candidate.
-* With ``backend="numpy"`` the post-pruning exact ``ΔE[STD]`` work also
-  leaves the interpreter: surviving uncached candidates are scored as one
-  block through :func:`repro.fastpath.diversity.batch_delta_estd`, whose
-  kernels are bitwise-equal to the scalar ``expected_std`` reduction.
-* With a ``scorer`` attached (the engine's ``solve_executor`` knob binds a
-  :class:`repro.engine.parallel.ShardBatchedScorer`), each round's
-  ``Δmin_R`` scoring — and, on the numpy backend, its exact ``ΔE[STD]``
-  block — is evaluated in per-shard batches, inline or across a process
-  pool, and merged back into candidate order *before* the global argmax,
-  so the committed plan stays bit-identical to the serial greedy at every
-  batch count and pool size.
+* **The python reference loop** (``backend="python"``, what
+  ``GreedySolver()`` runs) is the paper-faithful scalar form: every round
+  rebuilds the candidate pair list and scores it pair by pair, reusing a
+  pair's bounds and exact ``ΔE[STD]`` from per-task dict caches until its
+  task's worker set changes.
+* **The resident table** (``backend="numpy"``) packs the candidates once
+  per solve into a :class:`repro.fastpath.candidates.CandidateTable` and
+  re-scores only what the last commit changed: a round is array kernels
+  over the live rows plus one exact ``ΔE[STD]`` block for the uncached
+  survivors; a commit drops the worker's rows and refills the bounds of
+  the committed task's remaining rows.
+* **The scorer hand-off**: with a ``scorer`` attached (the engine's
+  ``solve_executor`` knob binds a
+  :class:`repro.engine.parallel.ShardBatchedScorer`) the round's
+  ``Δmin_R`` arrays — and, on the table, its exact ``ΔE[STD]`` slab — are
+  evaluated in per-shard batches, inline or across a process pool, and
+  merged back into candidate order *before* the global argmax.  The table
+  asks for its rows' batch keys once per solve, the python loop per round.
 
-The scoring stages report their wall time through the engine phase
-profiler (:mod:`repro.engine.profile`) when an engine has activated one;
-standalone solves skip the timers entirely.
+Each stage reports its wall time through the engine phase profiler
+(:mod:`repro.engine.profile`) when an engine has activated one.
 """
 
 from __future__ import annotations
@@ -46,15 +45,25 @@ from repro.algorithms.pruning import (
     CandidateBounds,
     diversity_increase_bounds,
     prune_candidates,
+    task_increase_bounds,
 )
 from repro.core.objectives import IncrementalEvaluator
 from repro.core.problem import RdbscProblem
+from repro.skyline.dominance import best_index_by_dominance
 
 #: Below this many uncached candidates, the scalar per-pair loop beats
 #: slab packing + kernel dispatch (post-pruning survivor blocks are often
 #: a handful of rows).  Both paths produce identical bits, so the switch
 #: is invisible to every equality contract.
 _MIN_BLOCK_DSTD = 32
+
+
+def _stats(rounds: int, exact_evaluations: int, pruned: int) -> Dict[str, float]:
+    return {
+        "rounds": float(rounds),
+        "exact_delta_evaluations": float(exact_evaluations),
+        "pruned_candidates": float(pruned),
+    }
 
 
 class GreedySolver(Solver):
@@ -66,8 +75,8 @@ class GreedySolver(Solver):
             way whenever the pruned pairs were genuinely dominated; the flag
             exists for the ablation benchmark.
         backend: ``"python"`` scores candidates one by one; ``"numpy"``
-            batches the ``Δmin_R`` scoring and pruning sweep through the
-            fastpath kernels.  Both backends commit identical assignments.
+            keeps them in a resident table scored by the fastpath
+            kernels.  Both backends commit identical assignments.
         scorer: optional shard-batched round scorer (duck-typed to
             :class:`repro.engine.parallel.ShardBatchedScorer`); when set,
             each round's ``Δmin_R`` values come from per-shard kernel
@@ -121,39 +130,32 @@ class GreedySolver(Solver):
                 assignments (they are treated exactly like committed rounds).
             unassigned: worker ids still to place, each with degree > 0.
             log_weights: optional ``{worker_id: -ln(1 - p_j)}`` map for the
-                numpy backend (e.g. gathered from packed slot slabs); built
-                on the fly from the worker objects when omitted.
+                numpy backend (e.g. gathered from packed slot slabs); read
+                off the worker objects when omitted.
 
         Returns:
             The solver stats dict (rounds, exact evaluations, pruned count).
         """
-        if self.backend == "numpy" or self.scorer is not None:
-            if log_weights is None:
-                log_weights = {
-                    worker_id: problem.workers_by_id[worker_id].log_confidence_weight
-                    for worker_id in unassigned
-                }
-            self._log_weights: Optional[Dict[int, float]] = log_weights
-        else:
-            self._log_weights = None
-        # Per-(task, worker) caches, invalidated per task on assignment;
-        # pair profiles are memoised by the problem itself.  Bounds and
-        # exact deltas both depend only on the task's current worker set,
-        # so rounds that leave a task untouched reuse everything.
+        if self.backend == "numpy":
+            return self._table_rounds(problem, evaluator, unassigned, log_weights)
+        from repro.engine.profile import phase
+
+        # The paper-faithful scalar loop.  Per-(task, worker) caches,
+        # invalidated per task on assignment; pair profiles are memoised
+        # by the problem itself.  Bounds and exact deltas both depend only
+        # on the task's current worker set, so rounds that leave a task
+        # untouched reuse everything.
         dstd_cache: Dict[int, Dict[int, float]] = {}
         bounds_cache: Dict[int, Dict[int, Tuple[float, float]]] = {}
-
-        rounds = 0
-        exact_evaluations = 0
-        pruned = 0
-
+        rounds = exact_evaluations = pruned = 0
         while unassigned:
-            min_two = evaluator.min_two_r()
-            pairs: List[Tuple[int, int]] = [
-                (task_id, worker_id)
-                for worker_id in unassigned
-                for task_id in sorted(problem.candidate_tasks(worker_id))
-            ]
+            with phase("select"):
+                min_two = evaluator.min_two_r()
+                pairs: List[Tuple[int, int]] = [
+                    (task_id, worker_id)
+                    for worker_id in unassigned
+                    for task_id in sorted(problem.candidate_tasks(worker_id))
+                ]
             if not pairs:
                 break
 
@@ -163,23 +165,140 @@ class GreedySolver(Solver):
             exact_evaluations += n_exact
             pruned += n_pruned
 
-            scores = [(dr, dd) for _, dr, dd in chosen_pairs]
-            from repro.skyline.dominance import best_index_by_dominance
-
-            best = best_index_by_dominance(scores)
-            task_id, worker_id = chosen_pairs[best][0]
-            evaluator.apply(task_id, worker_id)
-            unassigned.remove(worker_id)
-            dstd_cache.pop(task_id, None)
-            bounds_cache.pop(task_id, None)
+            with phase("select"):
+                scores = [(dr, dd) for _, dr, dd in chosen_pairs]
+                task_id, worker_id = chosen_pairs[best_index_by_dominance(scores)][0]
+                evaluator.apply(task_id, worker_id)
+                unassigned.remove(worker_id)
+                dstd_cache.pop(task_id, None)
+                bounds_cache.pop(task_id, None)
             rounds += 1
+        return _stats(rounds, exact_evaluations, pruned)
 
-        return {
-            "rounds": float(rounds),
-            "exact_delta_evaluations": float(exact_evaluations),
-            "pruned_candidates": float(pruned),
-        }
+    # ------------------------------------------------------------------ #
+    # numpy backend: the resident candidate table
+    # ------------------------------------------------------------------ #
 
+    def _table_rounds(
+        self,
+        problem: RdbscProblem,
+        evaluator: IncrementalEvaluator,
+        unassigned: List[int],
+        log_weights: Optional[Dict[int, float]],
+    ) -> Dict[str, float]:
+        """The round loop over a resident candidate table.
+
+        Python iterates only over Lemma 4.3 survivors (ranking, exact
+        block) and the committed task's live rows (bounds refill);
+        everything per-candidate is array work on the table's columns.
+        """
+        from repro.engine.profile import phase
+        from repro.fastpath.candidates import CandidateTable
+        from repro.fastpath.kernels import batch_delta_min_r, lemma43_prune_order
+
+        scorer = self.scorer
+        with phase("prune"):
+            table = CandidateTable(problem, evaluator, unassigned, log_weights)
+            # The scorer's batch partition, per row, once per solve.
+            keys = (
+                scorer.batch_keys(problem, table.worker_ids)
+                if scorer is not None
+                else None
+            )
+
+            def keys_of(rows: np.ndarray) -> Optional[np.ndarray]:
+                return None if keys is None else keys[rows]
+
+            def refill_bounds(rows: np.ndarray) -> None:
+                """Section 4.3 bounds of one task's live ``rows``, at its state."""
+                if not self.use_pruning or not rows.size:
+                    return
+                task_id = int(table.task_ids[rows[0]])
+                bounds = task_increase_bounds(
+                    problem.tasks_by_id[task_id],
+                    evaluator.state_of(task_id).profiles,
+                    [
+                        problem.pair_profile(task_id, worker_id)
+                        for worker_id in table.worker_ids[rows].tolist()
+                    ],
+                )
+                table.lb[rows], table.ub[rows] = np.array(bounds).T
+
+            for index in range(table.tasks.shape[0]):
+                refill_bounds(table.task_rows(index))
+        rounds = exact_evaluations = pruned = 0
+        while True:
+            live = table.live()
+            if not live.size:
+                break
+            with phase("delta_min_r"):
+                of_task = table.task_index[live]
+                inputs = (
+                    table.task_r[of_task],
+                    table.task_has[of_task],
+                    table.weights[live],
+                    *evaluator.min_two_r(),
+                )
+                if scorer is not None:
+                    dr = scorer.round_delta_min_r(*inputs, keys_of(live))
+                else:
+                    dr = batch_delta_min_r(*inputs)
+            rows = live
+            if self.use_pruning:
+                with phase("prune"):
+                    order = lemma43_prune_order(dr, table.lb[live], table.ub[live])
+                    dr = dr[order]
+                    rows = live[order]
+                pruned += int(live.size - rows.size)
+            with phase("delta_estd"):
+                # The known-mask is the slab-level mask: only rows it does
+                # not cover enter the exact evaluation.
+                block = rows[~table.known[rows]]
+                if block.size:
+                    values = self._block_dstd(
+                        problem, evaluator, table.pairs(block), keys_of(block)
+                    )
+                    table.set_exact(block, values)
+                    exact_evaluations += int(block.size)
+            with phase("select"):
+                scores = list(zip(dr.tolist(), table.dstd[rows].tolist()))
+                row = int(rows[best_index_by_dominance(scores)])
+                worker_id = int(table.worker_ids[row])
+                evaluator.apply(int(table.task_ids[row]), worker_id)
+                unassigned.remove(worker_id)
+                stale = table.commit(row, evaluator)
+            with phase("prune"):
+                refill_bounds(stale)
+            rounds += 1
+        return _stats(rounds, exact_evaluations, pruned)
+
+    def _block_dstd(
+        self,
+        problem: RdbscProblem,
+        evaluator: IncrementalEvaluator,
+        pairs: List[Tuple[int, int]],
+        keys: Optional[np.ndarray],
+    ):
+        """Exact ``ΔE[STD]`` for a block of uncached candidates at once.
+
+        One padded profile slab through the attached scorer (per-shard
+        batches by ``keys``, remote through the pinned pools) or one
+        direct :func:`repro.fastpath.diversity.batch_expected_std` call —
+        bitwise-equal to the scalar ``delta_estd``.  Unscored blocks below
+        :data:`_MIN_BLOCK_DSTD` take the scalar loop instead: slab packing
+        + kernel dispatch costs more than a handful of O(r^2) evaluations.
+        """
+        from repro.fastpath.diversity import batch_expected_std, pack_delta_slab
+
+        if self.scorer is None and len(pairs) < _MIN_BLOCK_DSTD:
+            return [evaluator.delta_estd(t, w) for t, w in pairs]
+        slab, old_estd = pack_delta_slab(problem, evaluator, pairs)
+        if self.scorer is not None:
+            return self.scorer.round_delta_estd(slab, old_estd, keys)
+        return batch_expected_std(slab) - old_estd
+
+    # ------------------------------------------------------------------ #
+    # python backend: scoring of the scalar reference loop
     # ------------------------------------------------------------------ #
 
     def _round_dr_array(
@@ -189,42 +308,26 @@ class GreedySolver(Solver):
         pairs: List[Tuple[int, int]],
         min_two: Tuple[float, float],
     ) -> np.ndarray:
-        """``Δmin_R`` for every candidate of one round, as an array.
+        """``Δmin_R`` for every candidate of one round, via the scorer.
 
-        Packs the per-candidate kernel inputs — the target task's current
-        ``(R, occupied)`` state, looked up once per task, and the worker's
-        Eq. 8 weight — then evaluates through the attached shard-batched
-        scorer when one is set, or one direct
-        :func:`repro.fastpath.kernels.batch_delta_min_r` call otherwise.
-        The kernel is element-wise, so both routes (and any batch
-        partition) produce the same values as the scalar
-        ``delta_min_r`` — bit for bit.
+        The reference loop's hand-off to an attached shard-batched scorer:
+        the round's kernel inputs are packed as a throw-away candidate
+        table over the pairs' workers, whose row order is exactly
+        ``pairs``.  The kernel is
+        element-wise, so any batch partition produces the same values as
+        the scalar ``delta_min_r`` — bit for bit.
         """
-        best, second = min_two
-        weights = self._log_weights
-        assert weights is not None
-        n = len(pairs)
-        task_r = np.empty(n)
-        task_has = np.empty(n, dtype=bool)
-        pair_weights = np.empty(n)
-        # Per-round memo: each task's (R, occupied) is looked up once.
-        seen: Dict[int, Tuple[float, bool]] = {}
-        for k, (task_id, worker_id) in enumerate(pairs):
-            cached = seen.get(task_id)
-            if cached is None:
-                state = evaluator.state_of(task_id)
-                cached = (state.r_value, bool(state.profiles))
-                seen[task_id] = cached
-            task_r[k] = cached[0]
-            task_has[k] = cached[1]
-            pair_weights[k] = weights[worker_id]
-        if self.scorer is not None:
-            return self.scorer.round_delta_min_r(
-                problem, pairs, task_r, task_has, pair_weights, best, second
-            )
-        from repro.fastpath.kernels import batch_delta_min_r
+        from repro.fastpath.candidates import CandidateTable
 
-        return batch_delta_min_r(task_r, task_has, pair_weights, best, second)
+        workers = list(dict.fromkeys(worker_id for _, worker_id in pairs))
+        table = CandidateTable(problem, evaluator, workers)
+        return self.scorer.round_delta_min_r(
+            table.task_r[table.task_index],
+            table.task_has[table.task_index],
+            table.weights,
+            *min_two,
+            self.scorer.batch_keys(problem, table.worker_ids),
+        )
 
     def _exact_dstd(
         self,
@@ -242,41 +345,6 @@ class GreedySolver(Solver):
         per_task[worker_id] = value
         return value, True
 
-    def _block_dstd(
-        self,
-        problem: RdbscProblem,
-        evaluator: IncrementalEvaluator,
-        dstd_cache: Dict[int, Dict[int, float]],
-        pairs: List[Tuple[int, int]],
-    ) -> None:
-        """Exact ``ΔE[STD]`` for a block of uncached candidates at once.
-
-        Packs one padded profile slab for the block and evaluates it
-        through the attached shard-batched scorer when one is set
-        (per-shard batches, remote through the pinned pools) or one
-        direct :func:`repro.fastpath.diversity.batch_expected_std` call.
-        Every value lands in ``dstd_cache`` exactly as the scalar
-        :meth:`_exact_dstd` would have stored it — the batched kernels
-        are bitwise-equal to the scalar reduction, so the cache contents
-        and every downstream selection are identical.  Unscored blocks
-        below :data:`_MIN_BLOCK_DSTD` take the scalar loop instead: slab
-        packing + kernel dispatch costs more than a handful of O(r^2)
-        evaluations.
-        """
-        from repro.fastpath.diversity import batch_expected_std, pack_delta_slab
-
-        if self.scorer is None and len(pairs) < _MIN_BLOCK_DSTD:
-            for task_id, worker_id in pairs:
-                self._exact_dstd(evaluator, dstd_cache, task_id, worker_id)
-            return
-        slab, old_estd = pack_delta_slab(problem, evaluator, pairs)
-        if self.scorer is not None and hasattr(self.scorer, "round_delta_estd"):
-            values = self.scorer.round_delta_estd(problem, pairs, slab, old_estd)
-        else:
-            values = batch_expected_std(slab) - old_estd
-        for (task_id, worker_id), value in zip(pairs, values.tolist()):
-            dstd_cache.setdefault(task_id, {})[worker_id] = value
-
     def _score_round(
         self,
         problem: RdbscProblem,
@@ -291,20 +359,15 @@ class GreedySolver(Solver):
         Returns ``(scored pairs, exact evaluations, pruned count)`` where
         each scored pair is ``((task_id, worker_id), delta_min_r, dstd)``.
         """
-        if self.backend == "numpy":
-            return self._score_round_numpy(
-                problem, evaluator, pairs, min_two, dstd_cache, bounds_cache
-            )
         from repro.engine.profile import phase
 
         # With a shard-batched scorer attached the round's Δmin_R values
         # come from the merged kernel batches (bit-identical to the scalar
         # delta_min_r); otherwise they are computed pair by pair.
-        dr_array = (
-            self._round_dr_array(problem, evaluator, pairs, min_two)
-            if self.scorer is not None
-            else None
-        )
+        dr_array = None
+        if self.scorer is not None:
+            with phase("delta_min_r"):
+                dr_array = self._round_dr_array(problem, evaluator, pairs, min_two)
         exact = 0
         if not self.use_pruning:
             # The scalar loop interleaves Δmin_R and ΔE[STD] per pair;
@@ -361,87 +424,3 @@ class GreedySolver(Solver):
                 exact += computed
                 out.append(((cand.task_id, cand.worker_id), cand.delta_min_r, dd))
         return out, exact, n_pruned
-
-    def _score_round_numpy(
-        self,
-        problem: RdbscProblem,
-        evaluator: IncrementalEvaluator,
-        pairs: List[Tuple[int, int]],
-        min_two: Tuple[float, float],
-        dstd_cache: Dict[int, Dict[int, float]],
-        bounds_cache: Dict[int, Dict[int, Tuple[float, float]]],
-    ) -> Tuple[List[Tuple[Tuple[int, int], float, float]], int, int]:
-        """The fastpath twin of the scalar scoring loop.
-
-        ``Δmin_R`` for every candidate comes from the broadcast kernel —
-        one direct call, or per-shard batches merged back into candidate
-        order when a scorer is attached (:meth:`_round_dr_array`) — and
-        the Lemma 4.3 sweep is the vectorised
-        :func:`repro.fastpath.kernels.lemma43_prune_order`.  Surviving
-        candidates not already covered by the dstd cache are scored as
-        one block (:meth:`_block_dstd`); bound and exact-``ΔE[STD]``
-        values reuse the same per-task caches as the scalar path, so
-        both backends make identical selections.
-        """
-        from repro.engine.profile import phase
-        from repro.fastpath.kernels import lemma43_prune_order
-
-        n = len(pairs)
-        with phase("delta_min_r"):
-            dr = self._round_dr_array(problem, evaluator, pairs, min_two)
-
-        if not self.use_pruning:
-            with phase("delta_estd"):
-                block = [
-                    (task_id, worker_id)
-                    for task_id, worker_id in pairs
-                    if dstd_cache.get(task_id, {}).get(worker_id) is None
-                ]
-                if block:
-                    self._block_dstd(problem, evaluator, dstd_cache, block)
-            out = [
-                ((task_id, worker_id), float(dr[k]), dstd_cache[task_id][worker_id])
-                for k, (task_id, worker_id) in enumerate(pairs)
-            ]
-            return out, len(block), 0
-
-        with phase("prune"):
-            lb = np.empty(n)
-            ub = np.empty(n)
-            for k, (task_id, worker_id) in enumerate(pairs):
-                cached_dd = dstd_cache.get(task_id, {}).get(worker_id)
-                if cached_dd is not None:
-                    lb[k] = ub[k] = cached_dd
-                    continue
-                per_task_bounds = bounds_cache.setdefault(task_id, {})
-                known = per_task_bounds.get(worker_id)
-                if known is None:
-                    task = problem.tasks_by_id[task_id]
-                    state = evaluator.state_of(task_id)
-                    new_profile = problem.pair_profile(task_id, worker_id)
-                    known = diversity_increase_bounds(
-                        task, state.profiles, new_profile
-                    )
-                    per_task_bounds[worker_id] = known
-                lb[k], ub[k] = known
-
-            survivor_order = lemma43_prune_order(dr, lb, ub)
-        n_pruned = n - int(survivor_order.shape[0])
-        survivors = survivor_order.tolist()
-        with phase("delta_estd"):
-            # The dstd cache acts as the slab-level mask: only survivors
-            # it does not already cover enter the batched kernel call.
-            block = []
-            for k in survivors:
-                task_id, worker_id = pairs[k]
-                if dstd_cache.get(task_id, {}).get(worker_id) is None:
-                    block.append((task_id, worker_id))
-            if block:
-                self._block_dstd(problem, evaluator, dstd_cache, block)
-        out = []
-        for k in survivors:
-            task_id, worker_id = pairs[k]
-            out.append(
-                ((task_id, worker_id), float(dr[k]), dstd_cache[task_id][worker_id])
-            )
-        return out, len(block), n_pruned

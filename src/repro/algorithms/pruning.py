@@ -43,18 +43,32 @@ def diversity_increase_bounds(
     current_profiles: Sequence[WorkerProfile],
     new_profile: WorkerProfile,
 ) -> Tuple[float, float]:
-    """``(lb, ub)`` of the E[STD] increase from adding ``new_profile``.
+    """``(lb, ub)`` of the E[STD] increase from adding ``new_profile``."""
+    return task_increase_bounds(task, current_profiles, [new_profile])[0]
+
+
+def task_increase_bounds(
+    task: SpatialTask,
+    current_profiles: Sequence[WorkerProfile],
+    new_profiles: Sequence[WorkerProfile],
+) -> List[Tuple[float, float]]:
+    """``(lb, ub)`` of the E[STD] increase, per candidate of one task.
 
     Following Section 4.3: with ``lb_b/ub_b`` the bounds before insertion
     and ``lb_a/ub_a`` after, the increase lies within
     ``[lb_a - ub_b, ub_a - lb_b]``.  The lower end is clamped at zero since
-    the increase is non-negative by Lemma 4.2.
+    the increase is non-negative by Lemma 4.2.  The "before" bounds depend
+    only on the task, so they are computed once for all candidates.
     """
     lb_before, ub_before = expected_std_bounds(task, current_profiles)
-    lb_after, ub_after = expected_std_bounds(task, [*current_profiles, new_profile])
-    lower = max(lb_after - ub_before, 0.0)
-    upper = max(ub_after - lb_before, lower)
-    return lower, upper
+    out = []
+    for new_profile in new_profiles:
+        lb_after, ub_after = expected_std_bounds(
+            task, [*current_profiles, new_profile]
+        )
+        lower = max(lb_after - ub_before, 0.0)
+        out.append((lower, max(ub_after - lb_before, lower)))
+    return out
 
 
 def prune_candidates(candidates: Sequence[CandidateBounds]) -> List[CandidateBounds]:

@@ -439,7 +439,7 @@ def _round_chunk_remote(
     best: float,
     second: float,
 ) -> np.ndarray:
-    """Worker-process entry: one batch through the ``Δmin_R`` kernel."""
+    """One batch through the ``Δmin_R`` kernel (inline or in a worker process)."""
     from repro.fastpath.kernels import batch_delta_min_r
 
     return batch_delta_min_r(task_r, task_has, weights, best, second)
@@ -455,11 +455,11 @@ def _dstd_chunk_remote(
     confidences: np.ndarray,
     old_estd: np.ndarray,
 ) -> np.ndarray:
-    """Worker-process entry: one slab batch through the ``ΔE[STD]`` kernel.
+    """One slab batch through the ``ΔE[STD]`` kernel (inline or remote).
 
-    The kernel is row-independent, so shipping sliced slab rows and
-    subtracting the sliced ``old_estd`` remotely produces exactly the
-    bits the inline path would.
+    The kernel is row-independent, so evaluating sliced slab rows and
+    subtracting the sliced ``old_estd`` produces exactly the bits of a
+    whole-slab evaluation, in this process or a worker.
     """
     from repro.fastpath.diversity import DiversitySlab, batch_expected_std
 
@@ -480,9 +480,11 @@ class ShardBatchedScorer:
 
     The greedy round loop stays globally coupled — each round's winner is
     the dominance argmax over *all* candidates — but the candidate scoring
-    itself partitions freely.  Candidates are batched by the worker's
-    owning shard (the same cell-block partition the sharded engine routes
-    churn by) or, without a shard map, into contiguous chunks; each batch
+    itself partitions freely.  The solver hands over the round's arrays
+    plus a per-candidate batch key (:meth:`batch_keys`): candidates are
+    batched by the worker's owning shard (the same cell-block partition
+    the sharded engine routes churn by) or, without a shard map, into
+    contiguous chunks; each batch
     runs through :func:`repro.fastpath.kernels.batch_delta_min_r` (and,
     for the post-pruning exact evaluations,
     :func:`repro.fastpath.diversity.batch_expected_std` over sliced slab
@@ -538,7 +540,18 @@ class ShardBatchedScorer:
             "dstd_batches_remote": 0,
         }
 
-    def _worker_shards(self, problem: RdbscProblem) -> Dict[int, int]:
+    def batch_keys(
+        self, problem: RdbscProblem, worker_ids: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """Per-candidate batch key: the owning shard of each row's worker.
+
+        ``None`` without a multi-shard map (batches are then contiguous
+        chunks).  The resident greedy table asks once per solve for its
+        whole worker column and slices the answer per round; the routing
+        itself is cached per problem.
+        """
+        if self.shard_map is None or self.shard_map.num_shards <= 1:
+            return None
         reference, cache = self._shard_cache
         if reference is None or reference() is not problem:
             cache = {
@@ -546,56 +559,42 @@ class ShardBatchedScorer:
                 for worker in problem.workers
             }
             self._shard_cache = (weakref.ref(problem), cache)
-        return cache
+        ids = worker_ids.tolist()
+        return np.fromiter((cache[w] for w in ids), dtype=np.intp, count=len(ids))
 
-    def _batches(
-        self, problem: RdbscProblem, pairs: Sequence[Tuple[int, int]]
-    ) -> List[np.ndarray]:
+    def _batches(self, n: int, keys: Optional[np.ndarray]) -> List[np.ndarray]:
         """Candidate index batches, in deterministic batch order."""
-        n = len(pairs)
-        if self.shard_map is not None and self.shard_map.num_shards > 1:
-            shards = self._worker_shards(problem)
-            by_shard: Dict[int, List[int]] = {}
-            for index, (_, worker_id) in enumerate(pairs):
-                by_shard.setdefault(shards[worker_id], []).append(index)
-            return [
-                np.asarray(by_shard[shard_id], dtype=np.intp)
-                for shard_id in sorted(by_shard)
-            ]
+        if keys is not None:
+            return [np.flatnonzero(keys == key) for key in np.unique(keys).tolist()]
         chunks = len(self.pools) if self.pools is not None else 1
         return [
             np.arange(lo, hi, dtype=np.intp)
             for lo, hi in chunk_ranges(n, max(1, chunks))
         ]
 
-    def round_delta_min_r(
+    def _fan_out(
         self,
-        problem: RdbscProblem,
-        pairs: Sequence[Tuple[int, int]],
-        task_r: np.ndarray,
-        task_has: np.ndarray,
-        weights: np.ndarray,
-        best: float,
-        second: float,
+        stat: str,
+        threshold: int,
+        chunk_fn,
+        columns: Sequence[np.ndarray],
+        scalars: Tuple[float, ...],
+        keys: Optional[np.ndarray],
     ) -> np.ndarray:
-        """``Δmin_R`` for every candidate, batch-evaluated then merged."""
-        from repro.fastpath.kernels import batch_delta_min_r
+        """``chunk_fn(*column slices, *scalars)`` per batch, merged in order.
 
-        self.stats["rounds"] += 1
-        batches = self._batches(problem, pairs)
-        self.stats["batches"] += len(batches)
-        out = np.empty(task_r.shape[0])
-        # Fan out per batch: only a batch that individually carries enough
-        # candidates to amortise its IPC round-trip goes to the pool (a
-        # skewed shard partition ships its one big batch and scores the
-        # small ones inline); with no second remote-worthy batch there is
-        # nothing to overlap, so everything stays inline.
+        Only a batch that individually carries at least ``threshold``
+        candidates — enough to amortise its IPC round-trip — goes to the
+        pool (a skewed shard partition ships its one big batch and scores
+        the small ones inline); with no second remote-worthy batch there
+        is nothing to overlap, so everything stays inline.
+        """
+        n = columns[0].shape[0]
+        self.stats[stat + "rounds"] += 1
+        batches = self._batches(n, keys)
+        self.stats[stat + "batches"] += len(batches)
         remote = (
-            [
-                indices
-                for indices in batches
-                if indices.shape[0] >= self.min_pairs_per_process
-            ]
+            [indices for indices in batches if indices.shape[0] >= threshold]
             if self.pools is not None and len(batches) > 1
             else []
         )
@@ -606,87 +605,68 @@ class ShardBatchedScorer:
             (
                 indices,
                 self.pools.submit(
-                    slot,
-                    _round_chunk_remote,
-                    task_r[indices],
-                    task_has[indices],
-                    weights[indices],
-                    best,
-                    second,
+                    slot, chunk_fn, *(column[indices] for column in columns), *scalars
                 ),
             )
             for slot, indices in enumerate(remote)
         ]
-        self.stats["batches_remote"] += len(futures)
+        self.stats[stat + "batches_remote"] += len(futures)
+        out = np.empty(n)
         for indices in batches:
             if id(indices) not in remote_ids:
-                out[indices] = batch_delta_min_r(
-                    task_r[indices], task_has[indices], weights[indices], best, second
+                out[indices] = chunk_fn(
+                    *(column[indices] for column in columns), *scalars
                 )
         for indices, future in futures:
             out[indices] = future.result()
         return out
 
-    def round_delta_estd(
+    def round_delta_min_r(
         self,
-        problem: RdbscProblem,
-        pairs: Sequence[Tuple[int, int]],
-        slab,
-        old_estd: np.ndarray,
+        task_r: np.ndarray,
+        task_has: np.ndarray,
+        weights: np.ndarray,
+        best: float,
+        second: float,
+        keys: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """``Δmin_R`` for every candidate, batch-evaluated then merged."""
+        return self._fan_out(
+            "",
+            self.min_pairs_per_process,
+            _round_chunk_remote,
+            (task_r, task_has, weights),
+            (best, second),
+            keys,
+        )
+
+    def round_delta_estd(
+        self, slab, old_estd: np.ndarray, keys: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Exact ``ΔE[STD]`` for a candidate block, batched then merged.
 
         The greedy solver packs the block's padded profile slab
         (:func:`repro.fastpath.diversity.pack_delta_slab`) and hands it
-        here; batches follow the same shard/chunk partition as
-        :meth:`round_delta_min_r` and the same two-remote-batches gate,
-        with :attr:`min_dstd_per_process` as the threshold.  The kernel
-        is row-independent, so every partition — inline, remote, or any
-        mix — returns bits identical to one whole-slab evaluation.
+        here with the block's batch keys; batches follow the same
+        shard/chunk partition and two-remote-batches gate as
+        :meth:`round_delta_min_r`, with :attr:`min_dstd_per_process` as
+        the threshold.  The kernel is row-independent, so every partition
+        — inline, remote, or any mix — returns bits identical to one
+        whole-slab evaluation.
         """
-        from repro.fastpath.diversity import batch_expected_std
-
-        self.stats["dstd_rounds"] += 1
-        batches = self._batches(problem, pairs)
-        self.stats["dstd_batches"] += len(batches)
-        out = np.empty(len(pairs))
-        remote = (
-            [
-                indices
-                for indices in batches
-                if indices.shape[0] >= self.min_dstd_per_process
-            ]
-            if self.pools is not None and len(batches) > 1
-            else []
+        columns = (
+            slab.betas,
+            slab.starts,
+            slab.ends,
+            slab.counts,
+            slab.angles,
+            slab.arrivals,
+            slab.confidences,
+            old_estd,
         )
-        if len(remote) < 2:
-            remote = []
-        remote_ids = {id(indices) for indices in remote}
-        futures = [
-            (
-                indices,
-                self.pools.submit(
-                    slot,
-                    _dstd_chunk_remote,
-                    slab.betas[indices],
-                    slab.starts[indices],
-                    slab.ends[indices],
-                    slab.counts[indices],
-                    slab.angles[indices],
-                    slab.arrivals[indices],
-                    slab.confidences[indices],
-                    old_estd[indices],
-                ),
-            )
-            for slot, indices in enumerate(remote)
-        ]
-        self.stats["dstd_batches_remote"] += len(futures)
-        for indices in batches:
-            if id(indices) not in remote_ids:
-                out[indices] = batch_expected_std(slab.take(indices)) - old_estd[indices]
-        for indices, future in futures:
-            out[indices] = future.result()
-        return out
+        return self._fan_out(
+            "dstd_", self.min_dstd_per_process, _dstd_chunk_remote, columns, (), keys
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -2,7 +2,8 @@
 
 An epoch is a pipeline — event routing, churn coalescing, index
 maintenance, candidate retrieval, Lemma 4.3 pruning, ``Δmin_R`` scoring,
-exact ``ΔE[STD]`` scoring, shard merge, WAL appends — and knowing which
+exact ``ΔE[STD]`` scoring, the round's selection and commit, shard merge,
+WAL appends — and knowing which
 stage is hottest is what decides the next optimisation.  This module is
 the engine's lightweight answer: a :class:`PhaseProfiler` accumulates
 wall-clock seconds per named phase, the engine snapshots it into each
@@ -31,7 +32,9 @@ from typing import Dict, Iterator, List
 from contextlib import contextmanager
 
 #: The phase names the engines report (solvers add none beyond these).
-#: Purely documentation — the profiler accepts any name.  ``diff_ship``
+#: Purely documentation — the profiler accepts any name.  ``select`` is
+#: the greedy round's bookkeeping (dominance ranking, the commit, and
+#: candidate materialisation / table maintenance).  ``diff_ship``
 #: (building + packing resident shard diffs) and ``rebalance`` (topology
 #: reshapes and the entity re-routing they trigger) are reported by the
 #: elastic engine only (:mod:`repro.engine.elastic`).
@@ -42,6 +45,7 @@ PHASES = (
     "prune",
     "delta_min_r",
     "delta_estd",
+    "select",
     "merge",
     "wal_append",
     "diff_ship",

@@ -12,6 +12,9 @@ broadcast equivalents over packed arrays:
     :func:`batch_valid_pairs` (bit-identical ``ValidPair`` retrieval),
     :func:`batch_delta_min_r` and :func:`lemma43_prune_order` (greedy
     scoring and Section 4.3 pruning).
+``candidates``
+    :class:`CandidateTable` — the numpy GREEDY round loop's resident
+    candidate rows, packed once per solve and edited per commit.
 ``diversity``
     :func:`batch_expected_std` / :func:`batch_delta_estd` — whole blocks
     of exact ``E[STD]`` evaluations over padded profile slabs
@@ -29,6 +32,7 @@ results.
 """
 
 from repro.fastpath.arrays import TaskArrays, TaskSlots, WorkerArrays, WorkerSlots
+from repro.fastpath.candidates import CandidateTable
 from repro.fastpath.diversity import (
     DiversitySlab,
     batch_delta_estd,
@@ -48,6 +52,7 @@ from repro.fastpath.kernels import (
 )
 
 __all__ = [
+    "CandidateTable",
     "DiversitySlab",
     "TaskArrays",
     "TaskSlots",

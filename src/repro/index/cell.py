@@ -5,7 +5,9 @@ aggregate bounds used for cell-level pruning: the residents' maximum speed,
 an angular interval covering every resident cone, and the latest task
 deadline.  Aggregates are recomputed lazily after removals (removal can
 only shrink them, so stale values are conservative — pruning stays safe —
-but we still refresh before exposing them).
+but we still refresh before exposing them), one side at a time: task
+removals stale only the deadline aggregates, worker removals and
+replacements only the speed/cone ones, and a read refreshes its own side.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class GridCell:
         self.side = side
         self.tasks: Dict[int, SpatialTask] = {}
         self.workers: Dict[int, MovingWorker] = {}
-        self._aggregates_stale = False
+        self._tasks_stale = False
+        self._workers_stale = False
 
         self._v_max = 0.0
         self._e_max = -math.inf
@@ -91,9 +94,9 @@ class GridCell:
         self._s_min = min(self._s_min, task.start)
 
     def remove_task(self, task_id: int) -> SpatialTask:
-        """Remove a resident task; aggregates go lazily stale."""
+        """Remove a resident task; deadline aggregates go lazily stale."""
         task = self.tasks.pop(task_id)
-        self._aggregates_stale = True
+        self._tasks_stale = True
         return task
 
     def add_worker(self, worker: MovingWorker) -> None:
@@ -103,20 +106,20 @@ class GridCell:
         self._cone_union = _widen(self._cone_union, worker.cone)
 
     def remove_worker(self, worker_id: int) -> MovingWorker:
-        """Remove a resident worker; aggregates go lazily stale."""
+        """Remove a resident worker; speed/cone aggregates go lazily stale."""
         worker = self.workers.pop(worker_id)
-        self._aggregates_stale = True
+        self._workers_stale = True
         return worker
 
     def replace_worker(self, worker: MovingWorker) -> MovingWorker:
         """Swap a resident worker's record in place (same id, same cell).
 
-        O(1): the dict slot is reused, aggregates are merely marked stale.
+        O(1): the dict slot is reused, speed/cone aggregates merely go stale.
         Used by same-cell position/heading/confidence refreshes.
         """
         old = self.workers[worker.worker_id]
         self.workers[worker.worker_id] = worker
-        self._aggregates_stale = True
+        self._workers_stale = True
         return old
 
     @property
@@ -128,34 +131,39 @@ class GridCell:
     # Aggregates
     # ------------------------------------------------------------------ #
 
-    def _refresh(self) -> None:
-        if not self._aggregates_stale:
+    def _refresh_workers(self) -> None:
+        if not self._workers_stale:
             return
         self._v_max = max((w.velocity for w in self.workers.values()), default=0.0)
-        self._e_max = max((t.end for t in self.tasks.values()), default=-math.inf)
-        self._s_min = min((t.start for t in self.tasks.values()), default=math.inf)
         union: Optional[AngleInterval] = None
         for worker in self.workers.values():
             union = _widen(union, worker.cone)
         self._cone_union = union
-        self._aggregates_stale = False
+        self._workers_stale = False
+
+    def _refresh_tasks(self) -> None:
+        if not self._tasks_stale:
+            return
+        self._e_max = max((t.end for t in self.tasks.values()), default=-math.inf)
+        self._s_min = min((t.start for t in self.tasks.values()), default=math.inf)
+        self._tasks_stale = False
 
     @property
     def v_max(self) -> float:
         """Fastest resident worker's speed (0 with no workers)."""
-        self._refresh()
+        self._refresh_workers()
         return self._v_max
 
     @property
     def e_max(self) -> float:
         """Latest resident task deadline (-inf with no tasks)."""
-        self._refresh()
+        self._refresh_tasks()
         return self._e_max
 
     @property
     def s_min(self) -> float:
         """Earliest resident task start (inf with no tasks)."""
-        self._refresh()
+        self._refresh_tasks()
         return self._s_min
 
     @property
@@ -165,7 +173,7 @@ class GridCell:
         ``None`` with no workers.  This is a conservative superset (interval
         union of intervals is an interval), so pruning against it is safe.
         """
-        self._refresh()
+        self._refresh_workers()
         return self._cone_union
 
 

@@ -383,6 +383,7 @@ class TestPhaseProfiler:
             "prune",
             "delta_min_r",
             "delta_estd",
+            "select",
             "merge",
             "wal_append",
             "diff_ship",

@@ -406,3 +406,183 @@ def test_batch_delta_min_r_matches_evaluator(seed):
     batched = batch_delta_min_r(task_r, task_has, weights, *min_two)
     for k, (task_id, worker_id) in enumerate(pairs):
         assert batched[k] == evaluator.delta_min_r(task_id, worker_id, min_two)
+
+
+# --------------------------------------------------------------------- #
+# The resident candidate table (numpy GREEDY) vs the python reference loop
+# --------------------------------------------------------------------- #
+
+
+def _scorer(kind):
+    from repro.engine import ShardMap
+    from repro.engine.parallel import ShardBatchedScorer
+
+    if kind == "none":
+        return None
+    if kind == "inline":
+        return ShardBatchedScorer()
+    return ShardBatchedScorer(shard_map=ShardMap(4, 0.125))
+
+
+def _run_rounds(problem, solver, prefill=()):
+    """``run_rounds`` from an evaluator seeded as ``WarmStartGreedySolver`` does."""
+    evaluator = IncrementalEvaluator(problem)
+    for task_id, worker_id in sorted(prefill):
+        evaluator.apply(task_id, worker_id)
+    unassigned = sorted(
+        w.worker_id
+        for w in problem.workers
+        if problem.degree(w.worker_id) > 0
+        and not evaluator.assignment.is_assigned(w.worker_id)
+    )
+    stats = solver.run_rounds(problem, evaluator, unassigned)
+    return sorted(evaluator.assignment.pairs()), evaluator.value(), stats, unassigned
+
+
+def _table_edge_problems():
+    """Named instances exercising the table's boundary rows."""
+    full = AngleInterval.full_circle()
+
+    def worker(worker_id, x, y, velocity=1.0, confidence=0.9):
+        return MovingWorker(worker_id, Point(x, y), velocity, full, confidence, 0.0)
+
+    def task(task_id, x, y, end=10.0):
+        return SpatialTask(task_id, Point(x, y), 0.0, end, 0.5)
+
+    return {
+        # Worker 2 is too slow to reach anything: degree 0.
+        "degree_zero_worker": RdbscProblem(
+            [task(0, 0.2, 0.2), task(1, 0.8, 0.8)],
+            [worker(0, 0.3, 0.3), worker(1, 0.7, 0.6), worker(2, 0.5, 0.5, 1e-6)],
+        ),
+        "one_candidate": RdbscProblem([task(0, 0.5, 0.5)], [worker(0, 0.4, 0.4)]),
+        # One task, equal confidences: every round is one Δmin_R tie group.
+        "all_tied_single_task": RdbscProblem(
+            [task(0, 0.5, 0.5)],
+            [worker(k, 0.1 + 0.15 * k, 0.9 - 0.1 * k, 0.6, 0.8) for k in range(6)],
+        ),
+        # Equal confidences over empty tasks: the first round is all tied.
+        "all_tied_first_round": RdbscProblem(
+            [task(k, 0.2 + 0.3 * k, 0.5) for k in range(3)],
+            [worker(k, 0.1 * k, 0.2 + 0.1 * k, 1.0, 0.7) for k in range(7)],
+        ),
+        # Task 0 is reachable by worker 0 only, who also reaches task 1:
+        # committing worker 0 removes task 0's last live row.
+        "last_row_dropped_with_worker": RdbscProblem(
+            [task(0, 0.1, 0.1), task(1, 0.9, 0.9)],
+            [worker(0, 0.5, 0.5), worker(1, 0.9, 0.8, 0.05), worker(2, 0.8, 0.9, 0.05)],
+        ),
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("use_pruning", [True, False])
+@pytest.mark.parametrize("scorer_kind", ["none", "inline", "sharded"])
+@pytest.mark.parametrize("prefilled", [False, True])
+def test_candidate_table_matrix_identical(seed, use_pruning, scorer_kind, prefilled):
+    problem = generate_problem(
+        ExperimentConfig.scaled_defaults(num_tasks=10, num_workers=28), seed
+    )
+    prefill = ()
+    if prefilled:
+        plan = sorted(GreedySolver().solve(problem).assignment.pairs())
+        prefill = plan[::2]
+        assert prefill and len(prefill) < len(plan)
+    reference = _run_rounds(problem, GreedySolver(use_pruning=use_pruning), prefill)
+    table = _run_rounds(
+        problem,
+        GreedySolver(
+            use_pruning=use_pruning, backend="numpy", scorer=_scorer(scorer_kind)
+        ),
+        prefill,
+    )
+    assert table == reference
+    assert reference[2]["rounds"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(_table_edge_problems()))
+@pytest.mark.parametrize("use_pruning", [True, False])
+@pytest.mark.parametrize("scorer_kind", ["none", "sharded"])
+def test_candidate_table_edge_rows(name, use_pruning, scorer_kind):
+    problem = _table_edge_problems()[name]
+    reference = GreedySolver(use_pruning=use_pruning).solve(problem)
+    table = GreedySolver(
+        use_pruning=use_pruning, backend="numpy", scorer=_scorer(scorer_kind)
+    ).solve(problem)
+    assert sorted(table.assignment.pairs()) == sorted(reference.assignment.pairs())
+    assert table.objective == reference.objective
+    assert table.stats == reference.stats
+    assert len(reference.assignment) == sum(
+        problem.degree(w.worker_id) > 0 for w in problem.workers
+    )
+
+
+def test_candidate_table_edge_problems_are_what_they_claim():
+    problems = _table_edge_problems()
+    assert problems["degree_zero_worker"].degree(2) == 0
+    assert len(problems["one_candidate"].valid_pairs()) == 1
+    last = problems["last_row_dropped_with_worker"]
+    assert last.candidate_workers(0) == [0] and len(last.candidate_tasks(0)) == 2
+    tied = problems["all_tied_single_task"]
+    assert len({w.confidence for w in tied.workers}) == 1
+    assert all(tied.degree(w.worker_id) == 1 for w in tied.workers)
+
+
+def test_candidate_table_skips_degree_zero_unassigned():
+    """``run_rounds`` handed a degree-0 worker leaves it, like the reference."""
+    problem = _table_edge_problems()["degree_zero_worker"]
+    outcomes = []
+    for backend in ("python", "numpy"):
+        evaluator = IncrementalEvaluator(problem)
+        unassigned = [0, 1, 2]
+        stats = GreedySolver(backend=backend).run_rounds(problem, evaluator, unassigned)
+        outcomes.append((sorted(evaluator.assignment.pairs()), stats, unassigned))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[1][2] == [2]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_candidate_table_bounds_work_is_o_delta(seed, monkeypatch):
+    """Bounds are evaluated per changed row, never per round x candidate."""
+    import repro.algorithms.pruning as pruning_module
+
+    problem = generate_problem(
+        ExperimentConfig.scaled_defaults(num_tasks=10, num_workers=28), seed
+    )
+    evaluator = IncrementalEvaluator(problem)
+    unassigned = sorted(
+        w.worker_id for w in problem.workers if problem.degree(w.worker_id) > 0
+    )
+    calls = {"before": 0, "after": 0}
+    real_bounds = pruning_module.expected_std_bounds
+
+    def counting_bounds(task, profiles, beta=None):
+        held = len(evaluator.state_of(task.task_id).profiles)
+        calls["before" if len(profiles) == held else "after"] += 1
+        return real_bounds(task, profiles, beta)
+
+    commits = []
+    real_apply = evaluator.apply
+
+    def recording_apply(task_id, worker_id):
+        commits.append((task_id, worker_id))
+        real_apply(task_id, worker_id)
+
+    monkeypatch.setattr(pruning_module, "expected_std_bounds", counting_bounds)
+    monkeypatch.setattr(evaluator, "apply", recording_apply)
+    initial_rows = sum(problem.degree(w) for w in unassigned)
+    distinct_tasks = len({t for w in unassigned for t in problem.candidate_tasks(w)})
+    stats = GreedySolver(backend="numpy").run_rounds(
+        problem, evaluator, list(unassigned)
+    )
+
+    live = set(unassigned)
+    refilled_rows = 0
+    for task_id, worker_id in commits:
+        live.discard(worker_id)
+        refilled_rows += sum(task_id in problem.candidate_tasks(w) for w in live)
+    assert len(commits) == stats["rounds"] == len(unassigned)
+    assert calls["after"] == initial_rows + refilled_rows
+    assert calls["before"] <= distinct_tasks + len(commits)
+    # The reference loop pays one "before" per "after".
+    assert calls["before"] < calls["after"]

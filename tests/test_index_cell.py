@@ -92,6 +92,56 @@ class TestAggregates:
         cell.add_worker(make_worker(1, cone=AngleInterval(math.pi, math.pi)))
         assert cell.cone_union.is_full()
 
+    def test_stale_flag_splits_by_side(self, monkeypatch):
+        """A deadline read never pays the cone sweep (and stays exact)."""
+        import repro.index.cell as cell_module
+
+        cell = cell_at()
+        for worker_id in range(4):
+            cell.add_worker(
+                make_worker(
+                    worker_id,
+                    velocity=0.1 * (worker_id + 1),
+                    cone=AngleInterval(0.4 * worker_id, 0.3),
+                )
+            )
+        for task_id in range(3):
+            cell.add_task(make_task(task_id, start=1.0 + task_id, end=5.0 + task_id))
+
+        widen_calls = []
+        real_widen = cell_module._widen
+
+        def counting_widen(current, addition):
+            widen_calls.append(addition)
+            return real_widen(current, addition)
+
+        monkeypatch.setattr(cell_module, "_widen", counting_widen)
+
+        cell.remove_task(2)
+        assert cell.e_max == 6.0
+        assert widen_calls == []
+        cell.replace_worker(make_worker(3, velocity=0.05, cone=AngleInterval(0.1, 0.2)))
+        assert cell.e_max == 6.0 and cell.s_min == 1.0
+        assert widen_calls == []
+        # The worker side refreshes on its own first read — once.
+        assert cell.v_max == pytest.approx(0.3)
+        assert len(widen_calls) == len(cell.workers)
+        cell.cone_union
+        assert len(widen_calls) == len(cell.workers)
+
+        monkeypatch.undo()
+        fresh = cell_at()
+        for worker in cell.workers.values():
+            fresh.add_worker(worker)
+        for task in cell.tasks.values():
+            fresh.add_task(task)
+        assert (cell.v_max, cell.e_max, cell.s_min, cell.cone_union) == (
+            fresh.v_max,
+            fresh.e_max,
+            fresh.s_min,
+            fresh.cone_union,
+        )
+
 
 class TestWiden:
     def test_none_base(self):

@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test benchsmoke bench-fastpath bench-incremental bench-warmstart bench-elastic bench-parallel bench-durability bench-dstd bench-serve docs-lint bench golden e2e-smoke pairs
+.PHONY: test benchsmoke bench-fastpath bench-incremental bench-warmstart bench-elastic bench-parallel bench-durability bench-dstd bench-serve docs-lint bench golden e2e-smoke pairs profile
 
 # Tier-1 verification (the command CI runs).
 test:
@@ -59,6 +59,13 @@ e2e-smoke:
 PAIRS ?= 10
 pairs:
 	$(PYTHON) tools/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS)
+
+# cProfile EPOCHS post-warm-up epochs of one direct-engine BENCHMARK.json
+# workload (the sizing step of a perf issue; call counts repeat per seed):
+#   make profile WORKLOAD=drift_elastic [EPOCHS=60]
+EPOCHS ?= 60
+profile:
+	$(PYTHON) tools/profile_workload.py --workload $(WORKLOAD) --epochs $(EPOCHS)
 
 # Docstring lint: engine-era packages + benchmarks/ + examples/ (CI runs
 # this; the default target set lives in tools/docs_lint.py).

@@ -149,17 +149,26 @@ def batch_any_valid(
     tasks: Sequence[SpatialTask],
     workers: Sequence[MovingWorker],
     validity: Optional[ValidityRule] = None,
+    task_arrays: Optional[TaskArrays] = None,
+    worker_arrays: Optional[WorkerArrays] = None,
 ) -> bool:
     """Whether any (task, worker) pair of the product is valid.
 
     Filter-then-confirm existence check with the scalar rule as the final
     word, so the verdict matches a scalar double loop exactly; used by the
-    grid index's cell confirmation.
+    grid index's cell confirmation.  ``task_arrays`` / ``worker_arrays``
+    are optional prepacked columns aligned with ``tasks`` / ``workers``
+    (the grid passes its cells' resident blocks); a side left out is
+    packed here.
     """
     rule = validity if validity is not None else ValidityRule()
+    if task_arrays is None:
+        task_arrays = TaskArrays.from_tasks(tasks)
+    if worker_arrays is None:
+        worker_arrays = WorkerArrays.from_workers(workers)
     valid, _ = _validity_mask(
-        TaskArrays.from_tasks(tasks),
-        WorkerArrays.from_workers(workers),
+        task_arrays,
+        worker_arrays,
         rule.allow_waiting,
         slack=FILTER_SLACK,
     )

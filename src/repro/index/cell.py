@@ -1,13 +1,23 @@
 """A single cell of the RDB-SC grid.
 
 Per Section 7.1, each cell keeps its resident task and worker records plus
-aggregate bounds used for cell-level pruning: the residents' maximum speed,
-an angular interval covering every resident cone, and the latest task
-deadline.  Aggregates are recomputed lazily after removals (removal can
-only shrink them, so stale values are conservative — pruning stays safe —
-but we still refresh before exposing them), one side at a time: task
-removals stale only the deadline aggregates, worker removals and
-replacements only the speed/cone ones, and a read refreshes its own side.
+what cell-level pruning and probing derive from them, each piece refreshed
+at most once per change and only when it is itself read:
+
+* worker side, three independently lazy pieces — the scalars ``v_max`` /
+  ``depart_min`` (widened by ``add_worker``, staled by ``remove_worker`` /
+  ``replace_worker``, refreshed together); ``cone_union`` behind its own
+  flag, folded in resident-dict order only when read, so a ``v_max`` read
+  never pays the cone sweep; and the packed **worker block**
+  (:meth:`GridCell.worker_block`), dropped by all three writers;
+* task side — ``e_max`` / ``s_min`` (widened by ``add_task``, staled by
+  ``remove_task``) and the packed **task block**, dropped by both.
+
+Stale aggregates would stay conservative (removal only shrinks them, so
+pruning stays safe), but a read refreshes its piece first: exposed values
+always equal a freshly built cell's.  Blocks are read-only snapshots in
+resident-dict order — a change replaces the block, never writes into it —
+and only the numpy backend ever asks for one.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.task import SpatialTask
 from repro.core.worker import MovingWorker
+from repro.fastpath.arrays import TaskArrays, WorkerArrays
 from repro.geometry.angles import AngleInterval, enclosing_interval
 from repro.geometry.points import Point
 
@@ -41,11 +52,15 @@ class GridCell:
         self.workers: Dict[int, MovingWorker] = {}
         self._tasks_stale = False
         self._workers_stale = False
+        self._cone_stale = False
 
         self._v_max = 0.0
+        self._depart_min = math.inf
         self._e_max = -math.inf
         self._s_min = math.inf
         self._cone_union: Optional[AngleInterval] = None
+        self._worker_block: Optional[WorkerArrays] = None
+        self._task_block: Optional[TaskArrays] = None
 
     # ------------------------------------------------------------------ #
     # Geometry
@@ -90,37 +105,47 @@ class GridCell:
     def add_task(self, task: SpatialTask) -> None:
         """Place a task in the cell, widening the deadline aggregates."""
         self.tasks[task.task_id] = task
+        self._task_block = None
         self._e_max = max(self._e_max, task.end)
         self._s_min = min(self._s_min, task.start)
 
     def remove_task(self, task_id: int) -> SpatialTask:
         """Remove a resident task; deadline aggregates go lazily stale."""
         task = self.tasks.pop(task_id)
+        self._task_block = None
         self._tasks_stale = True
         return task
 
     def add_worker(self, worker: MovingWorker) -> None:
-        """Place a worker in the cell, widening speed/cone aggregates."""
+        """Place a worker in the cell, widening the worker-side aggregates."""
         self.workers[worker.worker_id] = worker
+        self._worker_block = None
         self._v_max = max(self._v_max, worker.velocity)
-        self._cone_union = _widen(self._cone_union, worker.cone)
+        self._depart_min = min(self._depart_min, worker.depart_time)
+        if not self._cone_stale:  # a stale cone is re-folded whole anyway
+            self._cone_union = _widen(self._cone_union, worker.cone)
 
     def remove_worker(self, worker_id: int) -> MovingWorker:
-        """Remove a resident worker; speed/cone aggregates go lazily stale."""
+        """Remove a resident worker; worker-side aggregates go lazily stale."""
         worker = self.workers.pop(worker_id)
-        self._workers_stale = True
+        self._stale_workers()
         return worker
 
     def replace_worker(self, worker: MovingWorker) -> MovingWorker:
         """Swap a resident worker's record in place (same id, same cell).
 
-        O(1): the dict slot is reused, speed/cone aggregates merely go stale.
-        Used by same-cell position/heading/confidence refreshes.
+        O(1): the dict slot is reused, worker-side aggregates merely go
+        stale.  Used by same-cell position/heading/confidence refreshes.
         """
         old = self.workers[worker.worker_id]
         self.workers[worker.worker_id] = worker
-        self._workers_stale = True
+        self._stale_workers()
         return old
+
+    def _stale_workers(self) -> None:
+        self._workers_stale = True
+        self._cone_stale = True
+        self._worker_block = None
 
     @property
     def is_empty(self) -> bool:
@@ -135,10 +160,9 @@ class GridCell:
         if not self._workers_stale:
             return
         self._v_max = max((w.velocity for w in self.workers.values()), default=0.0)
-        union: Optional[AngleInterval] = None
-        for worker in self.workers.values():
-            union = _widen(union, worker.cone)
-        self._cone_union = union
+        self._depart_min = min(
+            (w.depart_time for w in self.workers.values()), default=math.inf
+        )
         self._workers_stale = False
 
     def _refresh_tasks(self) -> None:
@@ -153,6 +177,12 @@ class GridCell:
         """Fastest resident worker's speed (0 with no workers)."""
         self._refresh_workers()
         return self._v_max
+
+    @property
+    def depart_min(self) -> float:
+        """Earliest resident worker departure (inf with no workers)."""
+        self._refresh_workers()
+        return self._depart_min
 
     @property
     def e_max(self) -> float:
@@ -173,8 +203,29 @@ class GridCell:
         ``None`` with no workers.  This is a conservative superset (interval
         union of intervals is an interval), so pruning against it is safe.
         """
-        self._refresh_workers()
+        if self._cone_stale:
+            union: Optional[AngleInterval] = None
+            for worker in self.workers.values():
+                union = _widen(union, worker.cone)
+            self._cone_union = union
+            self._cone_stale = False
         return self._cone_union
+
+    # ------------------------------------------------------------------ #
+    # Packed column blocks (numpy backend)
+    # ------------------------------------------------------------------ #
+
+    def worker_block(self) -> WorkerArrays:
+        """The resident workers' packed columns, aligned with ``workers.values()``."""
+        if self._worker_block is None:
+            self._worker_block = WorkerArrays.from_workers(list(self.workers.values()))
+        return self._worker_block
+
+    def task_block(self) -> TaskArrays:
+        """The resident tasks' packed columns, aligned with ``tasks.values()``."""
+        if self._task_block is None:
+            self._task_block = TaskArrays.from_tasks(list(self.tasks.values()))
+        return self._task_block
 
 
 def _widen(

@@ -98,7 +98,9 @@ class RdbscGrid:
             :mod:`repro.fastpath` kernel (same pair set; ``pair_checks``
             counts whole batches instead of stopping at the first hit
             during exact confirmation, and retrieved pairs come out
-            task-major within a batch).
+            task-major within a batch).  The kernels read the two
+            cells' resident column blocks, packed once per change of a
+            cell, not per probe; the python backend builds no block.
         compact_stale_ratio: superset ``tcell_list`` maintenance never
             shrinks a cached list, so week-long churn accumulates members
             that only ever yield dead probes; when the fraction of such
@@ -133,6 +135,10 @@ class RdbscGrid:
         self._cells: Dict[int, GridCell] = {}
         self._task_cell: Dict[int, int] = {}
         self._worker_cell: Dict[int, int] = {}
+        # Ids of the cells currently holding at least one task — the only
+        # candidates a tcell_list build or widening looks at.  A cell
+        # leaves with its last task, so before it can be dropped as empty.
+        self._task_cells: Set[int] = set()
         # tcell_list cache per worker cell, plus reverse references so task
         # removals can re-check exactly the lists that mention their cell.
         self._tcell: Dict[int, Set[int]] = {}
@@ -378,6 +384,7 @@ class RdbscGrid:
         cell = self.cell_at(task.location)
         cell.add_task(task)
         self._task_cell[task.task_id] = cell.cell_id
+        self._task_cells.add(cell.cell_id)
 
     def _link_task_cell(self, cell: GridCell) -> None:
         """Extend cached worker-cell lists for a cell with new tasks."""
@@ -404,6 +411,8 @@ class RdbscGrid:
         cell_id = self._task_cell.pop(task_id)
         cell = self._cells[cell_id]
         task = cell.remove_task(task_id)
+        if not cell.tasks:
+            self._task_cells.discard(cell_id)
         self._dirty_task_cell(cell_id)
         self._drop_if_empty(cell_id)
         return task
@@ -454,8 +463,8 @@ class RdbscGrid:
         Cells already listed stay (the old residents' reach is unchanged);
         cells off the list join when *any of the new workers alone* might
         serve a task there — a superset of the exact condition, kept
-        honest by the exact retrieval probes.  One pass over the grid's
-        cells covers the whole group, and the candidate cells are first
+        honest by the exact retrieval probes.  One pass over the unlisted
+        task-holding cells covers the whole group, and they are first
         screened with a *vectorised* group-aggregate time bound (the
         group's fastest worker, earliest departure, against the home
         cell's rectangle distances and the candidates' latest deadlines —
@@ -475,11 +484,7 @@ class RdbscGrid:
         home = self._cells[cell_id]
         v_max = max(worker.velocity for worker in workers)
         depart_min = min(worker.depart_time for worker in workers)
-        candidates = [
-            cell
-            for cell in self._cells.values()
-            if cell.tasks and cell.cell_id not in cached
-        ]
+        candidates = [self._cells[target] for target in self._task_cells - cached]
         if not candidates:
             return
         if len(candidates) < _VECTOR_SCREEN_MIN:
@@ -578,8 +583,7 @@ class RdbscGrid:
         if v_max <= 0.0 and d_min > 0.0:
             return False
         t_min = d_min / v_max if v_max > 0.0 else 0.0
-        depart_min = min(w.depart_time for w in worker_cell.workers.values())
-        if depart_min + t_min > task_cell.e_max:
+        if worker_cell.depart_min + t_min > task_cell.e_max:
             self.stats["cells_pruned_time"] += 1
             return False
         if d_min > 0.0:
@@ -607,9 +611,10 @@ class RdbscGrid:
         """Exact confirmation: does any valid (worker, task) pair exist?
 
         The numpy backend filters the whole cell-pair product in one
-        batch, then confirms candidates with the scalar rule (so its
-        verdict matches the python backend exactly); it accounts for
-        every probe in ``pair_checks`` instead of short-circuiting.
+        batch over the two cells' resident blocks, then confirms
+        candidates with the scalar rule (so its verdict matches the
+        python backend exactly); it accounts for every probe in
+        ``pair_checks`` instead of short-circuiting.
         """
         if self.backend == "numpy":
             from repro.fastpath.kernels import batch_any_valid
@@ -617,7 +622,11 @@ class RdbscGrid:
             workers = list(worker_cell.workers.values())
             tasks = list(task_cell.tasks.values())
             self.stats["pair_checks"] += len(workers) * len(tasks)
-            if batch_any_valid(tasks, workers, self.validity):
+            if batch_any_valid(
+                tasks, workers, self.validity,
+                task_arrays=task_cell.task_block(),
+                worker_arrays=worker_cell.worker_block(),
+            ):
                 self.stats["cells_confirmed"] += 1
                 return True
             return False
@@ -646,8 +655,9 @@ class RdbscGrid:
         if cached is not None:
             return cached
         reachable: Set[int] = set()
-        for candidate in self._cells.values():
-            if candidate.tasks and self._cell_reachable(worker_cell, candidate):
+        for target_id in self._task_cells:
+            candidate = self._cells[target_id]
+            if self._cell_reachable(worker_cell, candidate):
                 reachable.add(candidate.cell_id)
                 self._rtcell.setdefault(candidate.cell_id, set()).add(
                     worker_cell.cell_id
@@ -735,8 +745,10 @@ class RdbscGrid:
         churn does not accumulate dead probes.
 
         With ``backend="numpy"`` each dirty entry is probed by one batched
-        kernel call instead of a scalar double loop; pairs are identical
-        (the kernel confirms candidates through the scalar rule).
+        kernel call over the two cells' resident blocks instead of a
+        scalar double loop, so a worker cell with k dirty targets packs
+        its residents once, not k times; pairs are identical (the kernel
+        confirms candidates through the scalar rule).
         """
         pairs: List[ValidPair] = []
         for worker_cell in list(self._cells.values()):
@@ -767,7 +779,11 @@ class RdbscGrid:
             if not tasks:
                 return []
             self.stats["pair_checks"] += len(workers) * len(tasks)
-            return batch_valid_pairs(tasks, workers, self.validity)
+            return batch_valid_pairs(
+                tasks, workers, self.validity,
+                task_arrays=target.task_block(),
+                worker_arrays=worker_cell.worker_block(),
+            )
         entry: List[ValidPair] = []
         for worker in worker_cell.workers.values():
             for task in target.tasks.values():

@@ -17,6 +17,7 @@ consciously opt out.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -200,3 +201,18 @@ def test_every_bench_has_a_smoke_runner():
 def test_bench_smoke(name):
     module = load_bench(name)
     SMOKE_RUNNERS[name](module)
+
+
+def test_profile_workload_tool():
+    """``tools/profile_workload.py`` still builds and profiles a workload."""
+    done = subprocess.run(
+        [
+            sys.executable, str(BENCH_DIR.parent / "tools" / "profile_workload.py"),
+            "--workload", "drift_elastic", "--tiny", "--epochs", "4", "--limit", "5",
+        ],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "epochs=4 (profiled)" in done.stdout
+    assert "Ordered by: cumulative time" in done.stdout
+    assert "Ordered by: internal time" in done.stdout

@@ -49,9 +49,24 @@ class TestAggregates:
     def test_empty_cell_defaults(self):
         cell = cell_at()
         assert cell.v_max == 0.0
+        assert cell.depart_min == math.inf
         assert cell.e_max == -math.inf
         assert cell.s_min == math.inf
         assert cell.cone_union is None
+        assert cell.is_empty
+
+    def test_last_resident_leaving_resets_its_side(self):
+        cell = cell_at()
+        cell.add_worker(make_worker(0, velocity=0.4, cone=AngleInterval(0.0, 0.5)))
+        cell.add_task(make_task(0, start=1.0, end=5.0))
+        cell.remove_worker(0)
+        assert cell.v_max == 0.0
+        assert cell.depart_min == math.inf
+        assert cell.cone_union is None
+        assert (cell.e_max, cell.s_min) == (5.0, 1.0)
+        cell.remove_task(0)
+        assert cell.e_max == -math.inf
+        assert cell.s_min == math.inf
         assert cell.is_empty
 
     def test_task_bounds(self):
@@ -93,7 +108,7 @@ class TestAggregates:
         assert cell.cone_union.is_full()
 
     def test_stale_flag_splits_by_side(self, monkeypatch):
-        """A deadline read never pays the cone sweep (and stays exact)."""
+        """Only a cone_union read pays the cone sweep (and all stay exact)."""
         import repro.index.cell as cell_module
 
         cell = cell_at()
@@ -103,6 +118,7 @@ class TestAggregates:
                     worker_id,
                     velocity=0.1 * (worker_id + 1),
                     cone=AngleInterval(0.4 * worker_id, 0.3),
+                    depart_time=2.0 - 0.25 * worker_id,
                 )
             )
         for task_id in range(3):
@@ -120,11 +136,17 @@ class TestAggregates:
         cell.remove_task(2)
         assert cell.e_max == 6.0
         assert widen_calls == []
-        cell.replace_worker(make_worker(3, velocity=0.05, cone=AngleInterval(0.1, 0.2)))
+        cell.replace_worker(
+            make_worker(3, velocity=0.05, cone=AngleInterval(0.1, 0.2), depart_time=3.0)
+        )
         assert cell.e_max == 6.0 and cell.s_min == 1.0
         assert widen_calls == []
-        # The worker side refreshes on its own first read — once.
+        # The scalar worker aggregates refresh without folding any cone ...
         assert cell.v_max == pytest.approx(0.3)
+        assert cell.depart_min == 1.5
+        assert widen_calls == []
+        # ... which the first cone_union read does — once.
+        cell.cone_union
         assert len(widen_calls) == len(cell.workers)
         cell.cone_union
         assert len(widen_calls) == len(cell.workers)
@@ -135,8 +157,11 @@ class TestAggregates:
             fresh.add_worker(worker)
         for task in cell.tasks.values():
             fresh.add_task(task)
-        assert (cell.v_max, cell.e_max, cell.s_min, cell.cone_union) == (
+        assert (
+            cell.v_max, cell.depart_min, cell.e_max, cell.s_min, cell.cone_union
+        ) == (
             fresh.v_max,
+            fresh.depart_min,
             fresh.e_max,
             fresh.s_min,
             fresh.cone_union,

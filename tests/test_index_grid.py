@@ -218,3 +218,75 @@ class TestRectDistanceCacheAndGroupScreen:
         assert sorted(
             (p.task_id, p.worker_id, p.arrival) for p in got
         ) == sorted((p.task_id, p.worker_id, p.arrival) for p in expected)
+
+
+class TestCellBlocks:
+    """Cells pack their residents once per change, not once per probe."""
+
+    @pytest.fixture
+    def packs(self, monkeypatch):
+        from repro.fastpath.arrays import TaskArrays, WorkerArrays
+
+        counts = {"workers": 0, "tasks": 0}
+        pack_workers, pack_tasks = WorkerArrays.from_workers, TaskArrays.from_tasks
+
+        def counting_workers(cls, workers):
+            counts["workers"] += 1
+            return pack_workers(workers)
+
+        def counting_tasks(cls, tasks):
+            counts["tasks"] += 1
+            return pack_tasks(tasks)
+
+        monkeypatch.setattr(WorkerArrays, "from_workers", classmethod(counting_workers))
+        monkeypatch.setattr(TaskArrays, "from_tasks", classmethod(counting_tasks))
+        return counts
+
+    @staticmethod
+    def churn(grid, workers):
+        """Retrieve once, then refresh six workers in place.
+
+        Returns the number of distinct cells the refreshes touched.
+        """
+        import dataclasses
+
+        grid.valid_pairs()
+        turned = [
+            dataclasses.replace(worker, depart_time=worker.depart_time + 0.01)
+            for worker in workers[:6]
+        ]
+        touched = {grid._worker_cell[worker.worker_id] for worker in turned}
+        grid.update_workers(turned)  # same location, so same cell
+        return len(touched)
+
+    def test_numpy_packs_once_per_changed_cell(self, packs):
+        tasks, workers = build_instance(5)
+        grid = RdbscGrid.bulk_load(tasks, workers, 0.1, backend="numpy")
+        touched = self.churn(grid, workers)
+        packs.update(workers=0, tasks=0)
+        first = grid.valid_pairs()
+        assert 0 < packs["workers"] <= touched
+        assert packs["tasks"] == 0  # task cells did not change
+
+        packs.update(workers=0, tasks=0)
+        assert grid.valid_pairs() == first  # no churn: streamed from the cache
+        assert packs == {"workers": 0, "tasks": 0}
+
+        for cell in grid.cells():
+            if cell.workers:
+                cell.worker_block()  # every worker cell clean
+        packs.update(workers=0, tasks=0)
+        grid.insert_task(make_task(1000, x=0.52, y=0.48, start=0.0, end=5.0))
+        grid.valid_pairs()
+        assert packs["workers"] == 0
+        assert packs["tasks"] <= 1  # the one touched cell
+
+    def test_python_backend_never_packs(self, packs):
+        tasks, workers = build_instance(5)
+        grid = RdbscGrid.bulk_load(tasks, workers, 0.1)
+        self.churn(grid, workers)
+        grid.valid_pairs()
+        grid.insert_task(make_task(1000, x=0.52, y=0.48, start=0.0, end=5.0))
+        grid.remove_worker(workers[0].worker_id)
+        grid.valid_pairs()
+        assert packs == {"workers": 0, "tasks": 0}

@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test benchsmoke bench-fastpath bench-incremental bench-warmstart bench-elastic bench-parallel bench-durability bench-dstd bench-serve docs-lint bench golden e2e-smoke pairs profile
+.PHONY: test benchsmoke bench-fastpath bench-incremental bench-warmstart bench-elastic bench-parallel bench-durability bench-dstd bench-serve docs-lint bench golden e2e-smoke pairs profile surface
 
 # Tier-1 verification (the command CI runs).
 test:
@@ -66,6 +66,11 @@ pairs:
 EPOCHS ?= 60
 profile:
 	$(PYTHON) tools/profile_workload.py --workload $(WORKLOAD) --epochs $(EPOCHS)
+
+# Source lines per src/repro subpackage + public constructor parameter
+# counts (a simplicity change reports both before and after).
+surface:
+	$(PYTHON) tools/surface.py
 
 # Docstring lint: engine-era packages + benchmarks/ + examples/ (CI runs
 # this; the default target set lives in tools/docs_lint.py).

@@ -22,13 +22,10 @@ objectives and stats:
   over the live rows plus one exact ``ΔE[STD]`` block for the uncached
   survivors; a commit drops the worker's rows and refills the bounds of
   the committed task's remaining rows.
-* **The scorer hand-off**: with a ``scorer`` attached (the engine's
-  ``solve_executor`` knob binds a
-  :class:`repro.engine.parallel.ShardBatchedScorer`) the round's
-  ``Δmin_R`` arrays — and, on the table, its exact ``ΔE[STD]`` slab — are
-  evaluated in per-shard batches, inline or across a process pool, and
-  merged back into candidate order *before* the global argmax.  The table
-  asks for its rows' batch keys once per solve, the python loop per round.
+
+Rounds are globally coupled — each scores against the global minimum
+reliability and commits one pair — so GREEDY always solves inline, even
+under an engine's ``solve_executor`` (which fans out SAMPLING only).
 
 Each stage reports its wall time through the engine phase profiler
 (:mod:`repro.engine.profile`) when an engine has activated one.
@@ -77,24 +74,15 @@ class GreedySolver(Solver):
         backend: ``"python"`` scores candidates one by one; ``"numpy"``
             keeps them in a resident table scored by the fastpath
             kernels.  Both backends commit identical assignments.
-        scorer: optional shard-batched round scorer (duck-typed to
-            :class:`repro.engine.parallel.ShardBatchedScorer`); when set,
-            each round's ``Δmin_R`` values come from per-shard kernel
-            batches merged before the argmax — identical selections on
-            both backends.  The engine attaches this via its
-            ``solve_executor`` knob.
     """
 
     name = "GREEDY"
 
-    def __init__(
-        self, use_pruning: bool = True, backend: str = "python", scorer=None
-    ) -> None:
+    def __init__(self, use_pruning: bool = True, backend: str = "python") -> None:
         if backend not in ("python", "numpy"):
             raise ValueError(f"unknown backend {backend!r}")
         self.use_pruning = use_pruning
         self.backend = backend
-        self.scorer = scorer
 
     def solve(self, problem: RdbscProblem, rng: RngLike = None) -> SolverResult:
         evaluator = IncrementalEvaluator(problem)
@@ -196,18 +184,8 @@ class GreedySolver(Solver):
         from repro.fastpath.candidates import CandidateTable
         from repro.fastpath.kernels import batch_delta_min_r, lemma43_prune_order
 
-        scorer = self.scorer
         with phase("prune"):
             table = CandidateTable(problem, evaluator, unassigned, log_weights)
-            # The scorer's batch partition, per row, once per solve.
-            keys = (
-                scorer.batch_keys(problem, table.worker_ids)
-                if scorer is not None
-                else None
-            )
-
-            def keys_of(rows: np.ndarray) -> Optional[np.ndarray]:
-                return None if keys is None else keys[rows]
 
             def refill_bounds(rows: np.ndarray) -> None:
                 """Section 4.3 bounds of one task's live ``rows``, at its state."""
@@ -233,16 +211,12 @@ class GreedySolver(Solver):
                 break
             with phase("delta_min_r"):
                 of_task = table.task_index[live]
-                inputs = (
+                dr = batch_delta_min_r(
                     table.task_r[of_task],
                     table.task_has[of_task],
                     table.weights[live],
                     *evaluator.min_two_r(),
                 )
-                if scorer is not None:
-                    dr = scorer.round_delta_min_r(*inputs, keys_of(live))
-                else:
-                    dr = batch_delta_min_r(*inputs)
             rows = live
             if self.use_pruning:
                 with phase("prune"):
@@ -255,9 +229,7 @@ class GreedySolver(Solver):
                 # not cover enter the exact evaluation.
                 block = rows[~table.known[rows]]
                 if block.size:
-                    values = self._block_dstd(
-                        problem, evaluator, table.pairs(block), keys_of(block)
-                    )
+                    values = self._block_dstd(problem, evaluator, table.pairs(block))
                     table.set_exact(block, values)
                     exact_evaluations += int(block.size)
             with phase("select"):
@@ -277,57 +249,25 @@ class GreedySolver(Solver):
         problem: RdbscProblem,
         evaluator: IncrementalEvaluator,
         pairs: List[Tuple[int, int]],
-        keys: Optional[np.ndarray],
     ):
         """Exact ``ΔE[STD]`` for a block of uncached candidates at once.
 
-        One padded profile slab through the attached scorer (per-shard
-        batches by ``keys``, remote through the pinned pools) or one
-        direct :func:`repro.fastpath.diversity.batch_expected_std` call —
-        bitwise-equal to the scalar ``delta_estd``.  Unscored blocks below
+        One padded profile slab through one
+        :func:`repro.fastpath.diversity.batch_expected_std` call —
+        bitwise-equal to the scalar ``delta_estd``.  Blocks below
         :data:`_MIN_BLOCK_DSTD` take the scalar loop instead: slab packing
         + kernel dispatch costs more than a handful of O(r^2) evaluations.
         """
         from repro.fastpath.diversity import batch_expected_std, pack_delta_slab
 
-        if self.scorer is None and len(pairs) < _MIN_BLOCK_DSTD:
+        if len(pairs) < _MIN_BLOCK_DSTD:
             return [evaluator.delta_estd(t, w) for t, w in pairs]
         slab, old_estd = pack_delta_slab(problem, evaluator, pairs)
-        if self.scorer is not None:
-            return self.scorer.round_delta_estd(slab, old_estd, keys)
         return batch_expected_std(slab) - old_estd
 
     # ------------------------------------------------------------------ #
     # python backend: scoring of the scalar reference loop
     # ------------------------------------------------------------------ #
-
-    def _round_dr_array(
-        self,
-        problem: RdbscProblem,
-        evaluator: IncrementalEvaluator,
-        pairs: List[Tuple[int, int]],
-        min_two: Tuple[float, float],
-    ) -> np.ndarray:
-        """``Δmin_R`` for every candidate of one round, via the scorer.
-
-        The reference loop's hand-off to an attached shard-batched scorer:
-        the round's kernel inputs are packed as a throw-away candidate
-        table over the pairs' workers, whose row order is exactly
-        ``pairs``.  The kernel is
-        element-wise, so any batch partition produces the same values as
-        the scalar ``delta_min_r`` — bit for bit.
-        """
-        from repro.fastpath.candidates import CandidateTable
-
-        workers = list(dict.fromkeys(worker_id for _, worker_id in pairs))
-        table = CandidateTable(problem, evaluator, workers)
-        return self.scorer.round_delta_min_r(
-            table.task_r[table.task_index],
-            table.task_has[table.task_index],
-            table.weights,
-            *min_two,
-            self.scorer.batch_keys(problem, table.worker_ids),
-        )
 
     def _exact_dstd(
         self,
@@ -361,13 +301,6 @@ class GreedySolver(Solver):
         """
         from repro.engine.profile import phase
 
-        # With a shard-batched scorer attached the round's Δmin_R values
-        # come from the merged kernel batches (bit-identical to the scalar
-        # delta_min_r); otherwise they are computed pair by pair.
-        dr_array = None
-        if self.scorer is not None:
-            with phase("delta_min_r"):
-                dr_array = self._round_dr_array(problem, evaluator, pairs, min_two)
         exact = 0
         if not self.use_pruning:
             # The scalar loop interleaves Δmin_R and ΔE[STD] per pair;
@@ -375,12 +308,8 @@ class GreedySolver(Solver):
             # is attributed to the delta_estd phase.
             with phase("delta_estd"):
                 out = []
-                for k, (task_id, worker_id) in enumerate(pairs):
-                    dr = (
-                        float(dr_array[k])
-                        if dr_array is not None
-                        else evaluator.delta_min_r(task_id, worker_id, min_two)
-                    )
+                for task_id, worker_id in pairs:
+                    dr = evaluator.delta_min_r(task_id, worker_id, min_two)
                     dd, computed = self._exact_dstd(
                         evaluator, dstd_cache, task_id, worker_id
                     )
@@ -390,12 +319,8 @@ class GreedySolver(Solver):
 
         with phase("prune"):
             bounded: List[CandidateBounds] = []
-            for k, (task_id, worker_id) in enumerate(pairs):
-                dr = (
-                    float(dr_array[k])
-                    if dr_array is not None
-                    else evaluator.delta_min_r(task_id, worker_id, min_two)
-                )
+            for task_id, worker_id in pairs:
+                dr = evaluator.delta_min_r(task_id, worker_id, min_two)
                 cached = dstd_cache.get(task_id, {}).get(worker_id)
                 if cached is not None:
                     lb = ub = cached

@@ -133,7 +133,7 @@ class SamplingSolver(Solver):
             ``"numpy"`` draws a whole sample at once (same RNG stream,
             identical samples).
         executor: optional sample fan-out executor (duck-typed to
-            :class:`repro.engine.parallel.ParallelSampleExecutor`); when
+            :class:`repro.engine.parallel.ParallelSolveExecutor`); when
             set, substream sample batches are evaluated through it instead
             of the in-line loop.  The engine attaches this via its
             ``solve_executor`` knob.

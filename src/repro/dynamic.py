@@ -101,10 +101,11 @@ class CrowdsourcingSession:
         shard_executor: ``"sequential"`` or ``"process"`` fan-out for the
             sharded engine (ignored with ``num_shards=1``).  With the
             process executor, call ``session.close()`` when done.
-        solve_executor: parallelise each ``reassign``'s *solve* — ``None``
-            (serial), a pinned-process count, or a
-            :class:`repro.engine.parallel.ParallelSolveExecutor` instance;
-            see :class:`repro.engine.engine.AssignmentEngine`.  Plans are
+        solve_executor: fan each ``reassign``'s SAMPLING solve out over
+            pinned processes — ``None`` (serial), a pinned-process count,
+            or a :class:`repro.engine.parallel.ParallelSolveExecutor`
+            instance; see :class:`repro.engine.engine.AssignmentEngine`.
+            Other solvers, GREEDY included, solve inline.  Plans are
             bit-identical to the serial session.  With a process count,
             call ``session.close()`` when done.
         durable_path: crash safety — write every churn event, epoch

@@ -41,10 +41,9 @@ not O(m * n) rebuilds.  This package is that machinery:
 ``parallel``
     The solve-parallelism subsystem behind the engines'
     ``solve_executor`` knob: :class:`ParallelSolveExecutor` owns pinned
-    worker pools and binds SAMPLING's substream sample fan-out
-    (:class:`ParallelSampleExecutor`) and GREEDY's shard-batched round
-    scoring (:class:`ShardBatchedScorer`) to the configured solver —
-    plans bit-identical to the serial solve at every pool size.
+    worker pools and fans SAMPLING's substream sample evaluations across
+    them — plans bit-identical to the serial solve at every pool size.
+    GREEDY (globally coupled rounds) always solves inline.
 ``profile``
     :class:`PhaseProfiler` — the per-epoch phase timer (routing,
     coalesce, index, prune, ``Δmin_R``, ``ΔE[STD]``, merge, WAL append)
@@ -87,11 +86,9 @@ from repro.engine.events import (
 from repro.engine.metrics import EngineMetrics, EpochRecord
 from repro.engine.profile import PhaseProfiler
 from repro.engine.parallel import (
-    ParallelSampleExecutor,
     ParallelSolveExecutor,
     PinnedWorkerPools,
     SampleChunkScorer,
-    ShardBatchedScorer,
 )
 from repro.engine.scheduler import EventQueue, epoch_ticks
 from repro.engine.sharding import ShardMap
@@ -108,7 +105,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "ExpireTasks",
-    "ParallelSampleExecutor",
     "ParallelSolveExecutor",
     "PhaseProfiler",
     "PinnedWorkerPools",
@@ -117,7 +113,6 @@ __all__ = [
     "ResidentShard",
     "SampleChunkScorer",
     "SequentialResidentExecutor",
-    "ShardBatchedScorer",
     "ShardDiff",
     "ShardMap",
     "TaskArrive",

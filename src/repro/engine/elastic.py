@@ -615,9 +615,7 @@ class ElasticShardedAssignmentEngine(AssignmentEngine):
             sub-instance" baseline ``benchmarks/bench_elastic.py``
             measures against; plans are identical either way.
         solve_executor: parallelise the epoch *solve* as for
-            :class:`AssignmentEngine`; the shard map additionally drives
-            the greedy scorer's batch partition, so solve batches follow
-            the same cell-block partition as the index fan-out.
+            :class:`AssignmentEngine`.
         durable_path / durable_snapshot_every: write-ahead log as for
             :class:`AssignmentEngine`; the meta row additionally records
             the shard layout, rebalance ops are logged as ``rebalance``

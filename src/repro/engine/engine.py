@@ -169,13 +169,11 @@ class AssignmentEngine:
             ParallelSolveExecutor` with that many pinned worker processes
             (owned — closed by :meth:`close`); an executor instance is
             used as-is (shared — the caller closes it).  The executor is
-            bound to the solver's parallel face per epoch: SAMPLING fans
-            independent substream sample evaluations across the pool,
-            GREEDY scores each round's candidates in shard batches merged
-            before the argmax — plans are bit-identical to the serial
-            solve either way.  Warm-start wrappers inherit the binding
-            (dirty-worker scoring batches, warm fresh draws); solvers
-            without a parallel face simply solve serially.
+            bound to a SAMPLING solver per epoch and fans its independent
+            substream sample evaluations across the pool — plans are
+            bit-identical to the serial solve.  A warm-start wrapper
+            inherits the binding (warm fresh draws); every other solver,
+            GREEDY included, solves inline and forks no process.
         durable_path: when set, the engine writes a write-ahead event log
             plus periodic full-state snapshots to this SQLite file
             (:mod:`repro.engine.durable`); a crashed session is recovered
@@ -827,22 +825,19 @@ class AssignmentEngine:
                 self._delta.workers_reanchored.add(worker.worker_id)
 
     def _bind_solve_executor(self) -> None:
-        """Attach the solve executor to the current solver's parallel face.
+        """Attach the solve executor to the current SAMPLING solver.
 
         Cached by solver identity (a swapped-in solver re-binds); binding
-        targets the *base* solver, so the warm-start wrappers — which
-        re-enter the base's scoring loops — run their dirty-worker batches
-        and fresh draws through the same executor.  The sharded engine's
-        shard map, when present, drives the greedy batch partition.
+        targets the *base* solver, so the warm-start wrapper — which
+        re-enters the base's scoring — runs its fresh draws through the
+        same executor.
         """
         if self.solve_executor is None or self._bound_solver is self.solver:
             return
         # A swapped-out solver must not keep pointing at this executor
         # (its pools may be closed later without it being re-visited).
         self.solve_executor.unbind(self._bound_solver)
-        self.solve_executor.bind(
-            self.solver, shard_map=getattr(self, "shard_map", None)
-        )
+        self.solve_executor.bind(self.solver)
         self._bound_solver = self.solver
 
     def close(self) -> None:

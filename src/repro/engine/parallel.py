@@ -1,42 +1,32 @@
-"""The parallel solve subsystem: sample fan-out and shard-batched scoring.
+"""The parallel solve subsystem: SAMPLING's substream sample fan-out.
 
 PR 4 scaled the *index* side out — per-shard sub-grids, fanned-out epoch
-maintenance — but the per-epoch **solve** stayed one serial global pass:
-SAMPLING drew every sample from one RNG stream and GREEDY scored every
-candidate in one loop.  This module parallelises the solve where it
-decomposes honestly:
+maintenance — but the per-epoch **solve** stayed one serial global pass.
+This module parallelises the solve where it decomposes honestly: under
+the substream determinism contract
+(:data:`repro.algorithms.sampling.SUBSTREAM_V1`) sample ``i`` depends only
+on ``(base seed, i)``, so independent sample evaluations partition freely.
+:class:`ParallelSolveExecutor` ships the epoch sub-instance once per
+process — packed into flat arrays via :mod:`repro.fastpath.arrays`, not
+pickled object graphs — fans contiguous sample-index chunks across pinned
+worker processes, and merges the returned score blocks in sample-index
+order.  Each chunk is scored by :class:`SampleChunkScorer`, a
+bit-identical twin of :func:`repro.core.objectives.evaluate_assignment`
+that additionally memoises per-(task, chosen worker set) evaluations —
+repeated coincidences across a chunk's samples are scored once.  Plans
+are bit-identical at every pool size, and to the serial substream path.
 
-* **Sample fan-out.**  Under the substream determinism contract
-  (:data:`repro.algorithms.sampling.SUBSTREAM_V1`) sample ``i`` depends
-  only on ``(base seed, i)``, so independent sample evaluations partition
-  freely.  :class:`ParallelSampleExecutor` ships the epoch sub-instance
-  once per process — packed into flat arrays via :mod:`repro.fastpath.
-  arrays`, not pickled object graphs — fans contiguous sample-index
-  chunks across pinned worker processes, and merges the returned score
-  blocks in sample-index order.  Each chunk is scored by
-  :class:`SampleChunkScorer`, a bit-identical twin of
-  :func:`repro.core.objectives.evaluate_assignment` that additionally
-  memoises per-(task, chosen worker set) evaluations — repeated
-  coincidences across a chunk's samples are scored once.  Plans are
-  bit-identical at every pool size, and to the serial substream path.
-* **Shard-batched greedy scoring.**  GREEDY stays globally coupled (every
-  round scores against the global minimum reliability), but within one
-  round the ``Δmin_R`` candidate scoring is embarrassingly parallel.
-  :class:`ShardBatchedScorer` partitions a round's candidates per shard
-  (via the engine's :class:`~repro.engine.sharding.ShardMap`, or into
-  contiguous chunks without one), evaluates each batch through the
-  element-wise :func:`repro.fastpath.kernels.batch_delta_min_r` kernel —
-  inline, or across the process pool for large rounds — and scatters the
-  results back into candidate order *before* the global argmax, so the
-  committed plan is bit-identical to the serial greedy.
+GREEDY is deliberately not fanned out: every round scores against the
+global minimum reliability and commits one pair, so a round split across
+processes pays IPC per round for kernel work that is cheaper inline (see
+``docs/PARALLEL.md``).  Binding an executor to a GREEDY solver is a
+no-op; it solves inline.
 
-Both faces share one set of pinned single-worker process pools
-(:class:`PinnedWorkerPools`, generalised from the per-shard pools of
-:mod:`repro.engine.sharding`), owned by the umbrella
-:class:`ParallelSolveExecutor` — the object the engines accept through
-their ``solve_executor=`` knob and bind to GREEDY / SAMPLING solvers
-(including their warm-start wrappers, whose dirty-worker re-scoring and
-fresh draws run through the same attached executor).
+The pools (:class:`PinnedWorkerPools`, generalised from the per-shard
+pools of :mod:`repro.engine.sharding`) are owned by the executor — the
+object the engines accept through their ``solve_executor=`` knob and bind
+to SAMPLING solvers (including the warm-start wrapper, whose fresh draws
+run through the same attached executor).
 
 Throughput is recorded by ``benchmarks/bench_parallel_solve.py`` into
 ``BENCH_parallel_solve.json``; the determinism contract is pinned by
@@ -46,14 +36,13 @@ Throughput is recorded by ``benchmarks/bench_parallel_solve.py`` into
 from __future__ import annotations
 
 import math
-import weakref
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.greedy import GreedySolver
 from repro.algorithms.random_assign import CandidateTable
 from repro.algorithms.sampling import SamplingSolver, substream_rng
 from repro.core.problem import RdbscProblem
@@ -357,362 +346,59 @@ def chunk_ranges(count: int, chunks: int) -> List[Tuple[int, int]]:
         (lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
     ]
 
+# --------------------------------------------------------------------- #
+# The engine-facing executor
+# --------------------------------------------------------------------- #
 
-class ParallelSampleExecutor:
+
+class ParallelSolveExecutor:
     """Fans independent substream sample evaluations across processes.
 
-    Each solve ships the packed sub-instance (:func:`pack_problem`) to
-    every participating process once, fans the sample indices out as
-    contiguous chunks, and concatenates the returned score blocks in
-    chunk order — sample ``i``'s score lands at position ``i`` regardless
-    of the pool size, and equals the serial substream evaluation bitwise
-    (each sample is keyed by ``(base seed, i)`` alone).  With
-    ``processes=0`` the same chunked scoring runs inline — the
-    deterministic reference executor, and the configuration that still
-    buys the chunk scorer's memoisation without any IPC.
+    The value an engine's ``solve_executor=`` knob accepts (engines also
+    accept a plain process count and construct one of these).  Each solve
+    ships the packed sub-instance (:func:`pack_problem`) to every
+    participating process once, fans the sample indices out as contiguous
+    chunks, and concatenates the returned score blocks in chunk order —
+    sample ``i``'s score lands at position ``i`` regardless of the pool
+    size, and equals the serial substream evaluation bitwise (each sample
+    is keyed by ``(base seed, i)`` alone).  Pools are created lazily on
+    the first SAMPLING bind; with ``processes=0`` the same chunked scoring
+    runs inline and nothing ever forks — the deterministic reference
+    configuration the differential tests compare every pool size against,
+    which still buys the chunk scorer's memoisation without any IPC.
+
+    A pinned child that dies mid-solve does not end the epoch: the broken
+    pools are shut down, that solve is re-scored inline (bit-identical —
+    inline and remote chunks run the same :class:`SampleChunkScorer`), and
+    the next fan-out forks fresh pools.
 
     Args:
-        pools: pinned worker pools shared with the owning
-            :class:`ParallelSolveExecutor` (``None`` for inline scoring).
+        processes: pinned worker processes to fan across (0 = inline).
         min_samples_per_process: fan out only when every participating
             process would receive at least this many samples; smaller
             batches score inline (shipping a problem per process costs
             more than it saves).
     """
 
-    def __init__(
-        self,
-        pools: Optional[PinnedWorkerPools] = None,
-        min_samples_per_process: int = 8,
-    ) -> None:
-        self.pools = pools
+    def __init__(self, processes: int = 4, min_samples_per_process: int = 8) -> None:
+        if processes < 0:
+            raise ValueError(f"processes must be non-negative, got {processes}")
+        self.processes = processes
         self.min_samples_per_process = min_samples_per_process
+        self._pools: Optional[PinnedWorkerPools] = None
+        self._closed = False
         #: Lifetime counters: solves routed, chunks fanned out, samples
-        #: scored inline vs remotely.
+        #: scored inline vs remotely, solves re-scored after a dead pool.
         self.stats: Dict[str, int] = {
             "solves": 0,
             "chunks_fanned": 0,
             "samples_remote": 0,
             "samples_inline": 0,
+            "pool_failures": 0,
         }
-
-    def _processes_for(self, count: int) -> int:
-        if self.pools is None:
-            return 0
-        usable = min(len(self.pools), count // max(1, self.min_samples_per_process))
-        return usable if usable >= 2 else 0
-
-    def scored_sample_chunks(
-        self, problem: RdbscProblem, base_seed: int, count: int
-    ) -> List[Tuple[float, float]]:
-        """Scores for samples ``0..count-1``, in sample-index order."""
-        self.stats["solves"] += 1
-        processes = self._processes_for(count)
-        if processes == 0:
-            self.stats["samples_inline"] += count
-            scorer = SampleChunkScorer(problem)
-            block = scorer.score_range(base_seed, 0, count)
-            return [tuple(row) for row in block.tolist()]
-        wire = pack_problem(problem)
-        ranges = chunk_ranges(count, processes)
-        futures = [
-            self.pools.submit(slot, _score_chunk_remote, wire, base_seed, lo, hi)
-            for slot, (lo, hi) in enumerate(ranges)
-        ]
-        self.stats["chunks_fanned"] += len(futures)
-        self.stats["samples_remote"] += count
-        scores: List[Tuple[float, float]] = []
-        for future in futures:
-            scores.extend(tuple(row) for row in future.result().tolist())
-        return scores
-
-
-# --------------------------------------------------------------------- #
-# Shard-batched greedy round scoring
-# --------------------------------------------------------------------- #
-
-
-def _round_chunk_remote(
-    task_r: np.ndarray,
-    task_has: np.ndarray,
-    weights: np.ndarray,
-    best: float,
-    second: float,
-) -> np.ndarray:
-    """One batch through the ``Δmin_R`` kernel (inline or in a worker process)."""
-    from repro.fastpath.kernels import batch_delta_min_r
-
-    return batch_delta_min_r(task_r, task_has, weights, best, second)
-
-
-def _dstd_chunk_remote(
-    betas: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    counts: np.ndarray,
-    angles: np.ndarray,
-    arrivals: np.ndarray,
-    confidences: np.ndarray,
-    old_estd: np.ndarray,
-) -> np.ndarray:
-    """One slab batch through the ``ΔE[STD]`` kernel (inline or remote).
-
-    The kernel is row-independent, so evaluating sliced slab rows and
-    subtracting the sliced ``old_estd`` produces exactly the bits of a
-    whole-slab evaluation, in this process or a worker.
-    """
-    from repro.fastpath.diversity import DiversitySlab, batch_expected_std
-
-    slab = DiversitySlab(
-        betas=betas,
-        starts=starts,
-        ends=ends,
-        counts=counts,
-        angles=angles,
-        arrivals=arrivals,
-        confidences=confidences,
-    )
-    return batch_expected_std(slab) - old_estd
-
-
-class ShardBatchedScorer:
-    """Per-round greedy scoring in shard batches, merged before argmax.
-
-    The greedy round loop stays globally coupled — each round's winner is
-    the dominance argmax over *all* candidates — but the candidate scoring
-    itself partitions freely.  The solver hands over the round's arrays
-    plus a per-candidate batch key (:meth:`batch_keys`): candidates are
-    batched by the worker's owning shard (the same cell-block partition
-    the sharded engine routes churn by) or, without a shard map, into
-    contiguous chunks; each batch
-    runs through :func:`repro.fastpath.kernels.batch_delta_min_r` (and,
-    for the post-pruning exact evaluations,
-    :func:`repro.fastpath.diversity.batch_expected_std` over sliced slab
-    rows), and results are scattered back into the candidate order before
-    the argmax.
-    The kernel is element-wise, so the merged scores — and therefore the
-    committed plan — are bit-identical to the serial greedy at every batch
-    count and pool size.
-
-    Args:
-        pools: pinned worker pools shared with the owning
-            :class:`ParallelSolveExecutor`; ``None`` scores every batch
-            inline (the partition-and-merge architecture without IPC).
-        shard_map: optional :class:`repro.engine.sharding.ShardMap`-like
-            router (``shard_of_point``/``num_shards``) that assigns each
-            candidate's worker to a batch.
-        min_pairs_per_process: a batch goes to the pool only when it
-            individually holds at least this many candidates (and at
-            least one other batch does too — a lone remote batch has
-            nothing to overlap with); smaller batches, and typical whole
-            rounds, score inline.
-        min_dstd_per_process: the same gate for exact ``ΔE[STD]`` slab
-            batches (:meth:`round_delta_estd`), lower because each row
-            costs an O(r^2) reduction rather than one ``Δmin_R`` formula.
-    """
-
-    def __init__(
-        self,
-        pools: Optional[PinnedWorkerPools] = None,
-        shard_map=None,
-        min_pairs_per_process: int = 4096,
-        min_dstd_per_process: int = 512,
-    ) -> None:
-        self.pools = pools
-        self.shard_map = shard_map
-        self.min_pairs_per_process = min_pairs_per_process
-        self.min_dstd_per_process = min_dstd_per_process
-        # Worker->shard routing for the problem currently being solved;
-        # held through a weakref so a finished epoch's sub-instance is not
-        # kept alive between solves (the cache only ever hits within one).
-        self._shard_cache: Tuple[Optional[weakref.ref], Dict[int, int]] = (
-            None,
-            {},
-        )
-        #: Lifetime counters: rounds scored, batches evaluated, batches
-        #: that went through the process pools.
-        self.stats: Dict[str, int] = {
-            "rounds": 0,
-            "batches": 0,
-            "batches_remote": 0,
-            "dstd_rounds": 0,
-            "dstd_batches": 0,
-            "dstd_batches_remote": 0,
-        }
-
-    def batch_keys(
-        self, problem: RdbscProblem, worker_ids: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Per-candidate batch key: the owning shard of each row's worker.
-
-        ``None`` without a multi-shard map (batches are then contiguous
-        chunks).  The resident greedy table asks once per solve for its
-        whole worker column and slices the answer per round; the routing
-        itself is cached per problem.
-        """
-        if self.shard_map is None or self.shard_map.num_shards <= 1:
-            return None
-        reference, cache = self._shard_cache
-        if reference is None or reference() is not problem:
-            cache = {
-                worker.worker_id: self.shard_map.shard_of_point(worker.location)
-                for worker in problem.workers
-            }
-            self._shard_cache = (weakref.ref(problem), cache)
-        ids = worker_ids.tolist()
-        return np.fromiter((cache[w] for w in ids), dtype=np.intp, count=len(ids))
-
-    def _batches(self, n: int, keys: Optional[np.ndarray]) -> List[np.ndarray]:
-        """Candidate index batches, in deterministic batch order."""
-        if keys is not None:
-            return [np.flatnonzero(keys == key) for key in np.unique(keys).tolist()]
-        chunks = len(self.pools) if self.pools is not None else 1
-        return [
-            np.arange(lo, hi, dtype=np.intp)
-            for lo, hi in chunk_ranges(n, max(1, chunks))
-        ]
-
-    def _fan_out(
-        self,
-        stat: str,
-        threshold: int,
-        chunk_fn,
-        columns: Sequence[np.ndarray],
-        scalars: Tuple[float, ...],
-        keys: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """``chunk_fn(*column slices, *scalars)`` per batch, merged in order.
-
-        Only a batch that individually carries at least ``threshold``
-        candidates — enough to amortise its IPC round-trip — goes to the
-        pool (a skewed shard partition ships its one big batch and scores
-        the small ones inline); with no second remote-worthy batch there
-        is nothing to overlap, so everything stays inline.
-        """
-        n = columns[0].shape[0]
-        self.stats[stat + "rounds"] += 1
-        batches = self._batches(n, keys)
-        self.stats[stat + "batches"] += len(batches)
-        remote = (
-            [indices for indices in batches if indices.shape[0] >= threshold]
-            if self.pools is not None and len(batches) > 1
-            else []
-        )
-        if len(remote) < 2:
-            remote = []
-        remote_ids = {id(indices) for indices in remote}
-        futures = [
-            (
-                indices,
-                self.pools.submit(
-                    slot, chunk_fn, *(column[indices] for column in columns), *scalars
-                ),
-            )
-            for slot, indices in enumerate(remote)
-        ]
-        self.stats[stat + "batches_remote"] += len(futures)
-        out = np.empty(n)
-        for indices in batches:
-            if id(indices) not in remote_ids:
-                out[indices] = chunk_fn(
-                    *(column[indices] for column in columns), *scalars
-                )
-        for indices, future in futures:
-            out[indices] = future.result()
-        return out
-
-    def round_delta_min_r(
-        self,
-        task_r: np.ndarray,
-        task_has: np.ndarray,
-        weights: np.ndarray,
-        best: float,
-        second: float,
-        keys: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """``Δmin_R`` for every candidate, batch-evaluated then merged."""
-        return self._fan_out(
-            "",
-            self.min_pairs_per_process,
-            _round_chunk_remote,
-            (task_r, task_has, weights),
-            (best, second),
-            keys,
-        )
-
-    def round_delta_estd(
-        self, slab, old_estd: np.ndarray, keys: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Exact ``ΔE[STD]`` for a candidate block, batched then merged.
-
-        The greedy solver packs the block's padded profile slab
-        (:func:`repro.fastpath.diversity.pack_delta_slab`) and hands it
-        here with the block's batch keys; batches follow the same
-        shard/chunk partition and two-remote-batches gate as
-        :meth:`round_delta_min_r`, with :attr:`min_dstd_per_process` as
-        the threshold.  The kernel is row-independent, so every partition
-        — inline, remote, or any mix — returns bits identical to one
-        whole-slab evaluation.
-        """
-        columns = (
-            slab.betas,
-            slab.starts,
-            slab.ends,
-            slab.counts,
-            slab.angles,
-            slab.arrivals,
-            slab.confidences,
-            old_estd,
-        )
-        return self._fan_out(
-            "dstd_", self.min_dstd_per_process, _dstd_chunk_remote, columns, (), keys
-        )
-
-
-# --------------------------------------------------------------------- #
-# The engine-facing umbrella
-# --------------------------------------------------------------------- #
-
-
-class ParallelSolveExecutor:
-    """Owns the solve fan-out: pools, sampling face, greedy face.
-
-    The value an engine's ``solve_executor=`` knob accepts (engines also
-    accept a plain process count and construct one of these).  Pools are
-    created lazily on first bind — a ``processes=0`` executor never forks
-    and runs the same chunked/batched scoring inline, which is the
-    deterministic reference configuration the differential tests compare
-    every pool size against.
-
-    Args:
-        processes: pinned worker processes to fan across (0 = inline).
-        min_samples_per_process: see :class:`ParallelSampleExecutor`.
-        min_pairs_per_process: see :class:`ShardBatchedScorer`.
-        min_dstd_per_process: see :class:`ShardBatchedScorer`.
-    """
-
-    def __init__(
-        self,
-        processes: int = 4,
-        min_samples_per_process: int = 8,
-        min_pairs_per_process: int = 4096,
-        min_dstd_per_process: int = 512,
-    ) -> None:
-        if processes < 0:
-            raise ValueError(f"processes must be non-negative, got {processes}")
-        self.processes = processes
-        self.min_samples_per_process = min_samples_per_process
-        self.min_pairs_per_process = min_pairs_per_process
-        self.min_dstd_per_process = min_dstd_per_process
-        self._pools: Optional[PinnedWorkerPools] = None
-        self._sample_executor: Optional[ParallelSampleExecutor] = None
-        self._greedy_scorers: Dict[int, ShardBatchedScorer] = {}
-        self._closed = False
-
-    # -- pools ----------------------------------------------------------- #
 
     def pools(self) -> Optional[PinnedWorkerPools]:
-        """The shared pinned pools (created on first use; None inline)."""
+        """The pinned pools (created on first use; None inline)."""
         if self.processes == 0:
             return None
         if self._closed:
@@ -721,54 +407,64 @@ class ParallelSolveExecutor:
             self._pools = PinnedWorkerPools(self.processes)
         return self._pools
 
-    # -- faces ----------------------------------------------------------- #
+    # -- scoring --------------------------------------------------------- #
 
-    @property
-    def samples(self) -> ParallelSampleExecutor:
-        """The sampling face (shared pools, lifetime stats)."""
-        if self._sample_executor is None:
-            self._sample_executor = ParallelSampleExecutor(
-                self.pools(), self.min_samples_per_process
-            )
-        return self._sample_executor
+    def _processes_for(self, count: int) -> int:
+        usable = min(self.processes, count // max(1, self.min_samples_per_process))
+        return usable if usable >= 2 else 0
 
-    def greedy_scorer(self, shard_map=None) -> ShardBatchedScorer:
-        """The greedy face for a partition (one scorer per shard map)."""
-        key = id(shard_map)
-        scorer = self._greedy_scorers.get(key)
-        if scorer is None:
-            scorer = ShardBatchedScorer(
-                self.pools(),
-                shard_map,
-                self.min_pairs_per_process,
-                self.min_dstd_per_process,
-            )
-            self._greedy_scorers[key] = scorer
-        return scorer
+    def scored_sample_chunks(
+        self, problem: RdbscProblem, base_seed: int, count: int
+    ) -> List[Tuple[float, float]]:
+        """Scores for samples ``0..count-1``, in sample-index order."""
+        self.stats["solves"] += 1
+        processes = self._processes_for(count)
+        if processes:
+            try:
+                return self._fan_out(problem, base_seed, count, processes)
+            except BrokenProcessPool:
+                # A pinned child died: drop the broken pools (the next
+                # fan-out forks fresh ones) and score this solve inline.
+                self.stats["pool_failures"] += 1
+                self._pools.close()
+                self._pools = None
+        self.stats["samples_inline"] += count
+        block = SampleChunkScorer(problem).score_range(base_seed, 0, count)
+        return [tuple(row) for row in block.tolist()]
+
+    def _fan_out(
+        self, problem: RdbscProblem, base_seed: int, count: int, processes: int
+    ) -> List[Tuple[float, float]]:
+        pools = self.pools()
+        wire = pack_problem(problem)
+        futures = [
+            pools.submit(slot, _score_chunk_remote, wire, base_seed, lo, hi)
+            for slot, (lo, hi) in enumerate(chunk_ranges(count, processes))
+        ]
+        scores = [
+            tuple(row) for future in futures for row in future.result().tolist()
+        ]
+        self.stats["chunks_fanned"] += len(futures)
+        self.stats["samples_remote"] += count
+        return scores
 
     # -- binding --------------------------------------------------------- #
 
-    def bind(self, solver, shard_map=None) -> bool:
-        """Attach this executor to a solver's parallel hooks.
+    def bind(self, solver) -> None:
+        """Attach this executor to a SAMPLING solver's sample scoring.
 
-        Warm-start wrappers are unwrapped to their base (the warm paths
-        re-enter the base solver's scoring loops, so the attachment covers
-        dirty-worker re-scoring batches and warm fresh draws too).
-        Returns whether the solver had a parallel face to bind; solvers
-        without one (RANDOM, D&C, exhaustive, ...) are left untouched and
-        simply solve serially.
+        A warm-start wrapper is unwrapped to its base (its fresh draws
+        re-enter the base solver's scoring, so the attachment covers them
+        too).  Every other solver (GREEDY, RANDOM, D&C, exhaustive, ...)
+        is left untouched, forks nothing, and simply solves inline.
         """
         base = solver.base if isinstance(solver, WarmStartSolver) else solver
         if isinstance(base, SamplingSolver):
-            base.executor = self.samples
-            return True
-        if isinstance(base, GreedySolver):
-            base.scorer = self.greedy_scorer(shard_map)
-            return True
-        return False
+            self.pools()
+            base.executor = self
 
     def unbind(self, solver) -> None:
-        """Detach this executor's faces from a solver (if it holds them).
+        """Detach this executor from a solver (if it holds it).
 
         The inverse of :meth:`bind`, used by an engine closing an executor
         it owns — a solver reused elsewhere afterwards must not point at
@@ -777,20 +473,13 @@ class ParallelSolveExecutor:
         if solver is None:
             return
         base = solver.base if isinstance(solver, WarmStartSolver) else solver
-        if (
-            isinstance(base, SamplingSolver)
-            and base.executor is self._sample_executor
-        ):
+        if isinstance(base, SamplingSolver) and base.executor is self:
             base.executor = None
-        if isinstance(base, GreedySolver) and any(
-            base.scorer is scorer for scorer in self._greedy_scorers.values()
-        ):
-            base.scorer = None
 
     # -- lifecycle ------------------------------------------------------- #
 
     def close(self) -> None:
-        """Shut the shared pools down (idempotent)."""
+        """Shut the pools down (idempotent)."""
         self._closed = True
         if self._pools is not None:
             self._pools.close()

@@ -257,8 +257,8 @@ class DiversitySlab:
     Row ``b`` describes one (task, profile multiset) pair: the task's
     ``beta`` / valid period and ``counts[b]`` profiles in the leading
     columns of the ``(B, maxR)`` arrays.  Slabs slice cleanly by row
-    (:meth:`take`), which is how the shard-batched scorer ships per-shard
-    sub-blocks to remote processes.
+    (:meth:`take`); the kernel is row-independent, so a sub-slab's values
+    carry the bits of the same rows in the whole slab.
     """
 
     betas: np.ndarray

@@ -156,10 +156,11 @@ class PlatformSimulator:
             genuinely engages on deployment workloads.
         warm_churn_threshold: churn fraction above which a warm-mode
             epoch falls back to a full solve.
-        solve_executor: forwarded to the engine — parallelise each
-            re-planning instant's solve (``None``, a pinned-process count,
-            or a :class:`repro.engine.parallel.ParallelSolveExecutor`).
-            Dispatches are bit-identical to the serial simulator.  An
+        solve_executor: forwarded to the engine — fan each re-planning
+            instant's SAMPLING solve out (``None``, a pinned-process count,
+            or a :class:`repro.engine.parallel.ParallelSolveExecutor`);
+            other solvers solve inline.  Dispatches are bit-identical to
+            the serial simulator.  An
             executor *instance* is shared across :meth:`run` calls and
             closed by the caller; a process count builds one per run,
             closed when the run finishes.

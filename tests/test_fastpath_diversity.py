@@ -12,9 +12,9 @@ Lemma 3.1 reductions:
   exact bits of the per-row scalar call, signed zeros included.
 * **Block ΔE[STD]** — :func:`repro.fastpath.batch_delta_estd` against
   :meth:`~repro.core.objectives.IncrementalEvaluator.delta_estd` pair by
-  pair on partially filled evaluators, and greedy plans across backends,
-  pruning flags and the shard-batched scorer (the heavier sweeps carry the
-  ``churn`` marker, like the other differential suites).
+  pair on partially filled evaluators, and greedy plans across backends
+  and pruning flags (the heavier sweeps carry the ``churn`` marker, like
+  the other differential suites).
 
 The epoch phase profiler (:mod:`repro.engine.profile`) is unit-tested here
 too — it ships in the same PR and the greedy fast path reports into it.
@@ -37,7 +37,6 @@ from repro.core.expected import (
 from repro.core.objectives import IncrementalEvaluator
 from repro.core.possible_worlds import exact_expected_std
 from repro.datagen import ExperimentConfig, generate_problem
-from repro.engine import ParallelSolveExecutor
 from repro.engine.profile import PHASES, PhaseProfiler, activated, phase
 from repro.fastpath import (
     DiversitySlab,
@@ -290,7 +289,7 @@ class TestBatchDeltaEstd:
 
 
 # --------------------------------------------------------------------- #
-# Greedy plans: backends, pruning, shard-batched scorer
+# Greedy plans: backends, pruning
 # --------------------------------------------------------------------- #
 
 
@@ -312,23 +311,6 @@ class TestGreedyBlockScoring:
         )
         assert plan_key(py) == plan_key(np_)
         assert py.stats == np_.stats
-
-    @pytest.mark.parametrize("use_pruning", [False, True])
-    def test_shard_batched_scorer_identical(self, use_pruning):
-        config = ExperimentConfig.scaled_defaults(num_tasks=12, num_workers=36)
-        problem = generate_problem(config, 5, backend="numpy")
-        reference = GreedySolver(use_pruning=use_pruning, backend="numpy").solve(
-            problem
-        )
-        from repro.engine import ShardMap
-
-        with ParallelSolveExecutor(
-            processes=2, min_pairs_per_process=1, min_dstd_per_process=1
-        ) as executor:
-            solver = GreedySolver(use_pruning=use_pruning, backend="numpy")
-            executor.bind(solver, shard_map=ShardMap(2, 0.125))
-            assert plan_key(solver.solve(problem)) == plan_key(reference)
-            assert solver.scorer.stats["dstd_batches_remote"] > 0
 
 
 # --------------------------------------------------------------------- #

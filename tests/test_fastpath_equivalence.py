@@ -413,17 +413,6 @@ def test_batch_delta_min_r_matches_evaluator(seed):
 # --------------------------------------------------------------------- #
 
 
-def _scorer(kind):
-    from repro.engine import ShardMap
-    from repro.engine.parallel import ShardBatchedScorer
-
-    if kind == "none":
-        return None
-    if kind == "inline":
-        return ShardBatchedScorer()
-    return ShardBatchedScorer(shard_map=ShardMap(4, 0.125))
-
-
 def _run_rounds(problem, solver, prefill=()):
     """``run_rounds`` from an evaluator seeded as ``WarmStartGreedySolver`` does."""
     evaluator = IncrementalEvaluator(problem)
@@ -477,9 +466,8 @@ def _table_edge_problems():
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("use_pruning", [True, False])
-@pytest.mark.parametrize("scorer_kind", ["none", "inline", "sharded"])
 @pytest.mark.parametrize("prefilled", [False, True])
-def test_candidate_table_matrix_identical(seed, use_pruning, scorer_kind, prefilled):
+def test_candidate_table_matrix_identical(seed, use_pruning, prefilled):
     problem = generate_problem(
         ExperimentConfig.scaled_defaults(num_tasks=10, num_workers=28), seed
     )
@@ -490,11 +478,7 @@ def test_candidate_table_matrix_identical(seed, use_pruning, scorer_kind, prefil
         assert prefill and len(prefill) < len(plan)
     reference = _run_rounds(problem, GreedySolver(use_pruning=use_pruning), prefill)
     table = _run_rounds(
-        problem,
-        GreedySolver(
-            use_pruning=use_pruning, backend="numpy", scorer=_scorer(scorer_kind)
-        ),
-        prefill,
+        problem, GreedySolver(use_pruning=use_pruning, backend="numpy"), prefill
     )
     assert table == reference
     assert reference[2]["rounds"] > 0
@@ -502,13 +486,10 @@ def test_candidate_table_matrix_identical(seed, use_pruning, scorer_kind, prefil
 
 @pytest.mark.parametrize("name", sorted(_table_edge_problems()))
 @pytest.mark.parametrize("use_pruning", [True, False])
-@pytest.mark.parametrize("scorer_kind", ["none", "sharded"])
-def test_candidate_table_edge_rows(name, use_pruning, scorer_kind):
+def test_candidate_table_edge_rows(name, use_pruning):
     problem = _table_edge_problems()[name]
     reference = GreedySolver(use_pruning=use_pruning).solve(problem)
-    table = GreedySolver(
-        use_pruning=use_pruning, backend="numpy", scorer=_scorer(scorer_kind)
-    ).solve(problem)
+    table = GreedySolver(use_pruning=use_pruning, backend="numpy").solve(problem)
     assert sorted(table.assignment.pairs()) == sorted(reference.assignment.pairs())
     assert table.objective == reference.objective
     assert table.stats == reference.stats

@@ -10,16 +10,19 @@ What is pinned here:
 * **Chunk-scorer equivalence** — :class:`SampleChunkScorer` produces the
   exact floats of :func:`repro.core.objectives.evaluate_assignment` for
   every drawn sample (the memo only skips recomputation).
-* **Greedy shard-batched scoring** — plans bit-identical to the serial
-  greedy for contiguous and shard-map partitions, inline and across
-  processes, both backends, pruning on and off.
+* **Dead-pool recovery** — a SIGKILLed pinned child costs one inline
+  re-score, not the epoch; the next fan-out runs on fresh processes.
 * **Engine/session wiring** — engines (plain, sharded, warm) with a
   ``solve_executor`` reproduce the serial engines' epochs on a churn
-  stream; the differential classes carry the ``churn`` marker.
+  stream, and GREEDY under an executor is plain inline GREEDY that forks
+  nothing; the differential classes carry the ``churn`` marker.
 
 The golden fixture (``tests/fixtures/golden_small.json``) additionally
 pins the substream contract's exact objectives.
 """
+
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -34,13 +37,11 @@ from repro.engine import (
     AssignmentEngine,
     ElasticShardedAssignmentEngine,
     ParallelSolveExecutor,
-    ShardMap,
 )
 from repro.engine.durable import solver_config
 from repro.engine.parallel import (
     PinnedWorkerPools,
     SampleChunkScorer,
-    ShardBatchedScorer,
     chunk_ranges,
     pack_problem,
     unpack_problem,
@@ -149,7 +150,46 @@ class TestSampleFanOutPoolSizes:
             solver = SamplingSolver(num_samples=32, backend="numpy")
             executor.bind(solver)
             assert plan_key(solver.solve(problem, rng=3)) == plan_key(reference)
-            assert executor.samples.stats["samples_remote"] == 32
+            assert executor.stats["samples_remote"] == 32
+
+
+class TestDeadPoolRecovery:
+    def test_killed_child_rescored_inline_then_fresh_pool(self):
+        tasks = [make_task(i, x=0.1 * (i + 1), y=0.5, end=20.0) for i in range(6)]
+        workers = [
+            make_worker(i, x=0.1 * (i + 1), y=0.45, velocity=0.2) for i in range(9)
+        ]
+        executor = ParallelSolveExecutor(processes=2, min_samples_per_process=4)
+        serial = AssignmentEngine(solver=SamplingSolver(num_samples=32), rng=4)
+        fanned = AssignmentEngine(
+            solver=SamplingSolver(num_samples=32), rng=4, solve_executor=executor
+        )
+        try:
+            for engine in (serial, fanned):
+                engine.add_tasks(tasks)
+                engine.add_workers(workers)
+
+            def epoch_matches():
+                a, b = serial.epoch(0.0), fanned.epoch(0.0)
+                assert sorted(a.assignment.pairs()) == sorted(b.assignment.pairs())
+                assert a.objective == b.objective
+
+            epoch_matches()
+            assert executor.stats["chunks_fanned"] == 2
+            dead = executor.pools().submit(0, os.getpid).result()
+            os.kill(dead, signal.SIGKILL)
+            epoch_matches()
+            assert executor.stats["pool_failures"] == 1
+            assert executor.stats["chunks_fanned"] == 2
+            epoch_matches()
+            assert executor.stats["pool_failures"] == 1
+            assert executor.stats["chunks_fanned"] == 4
+            fresh = executor.pools().submit(0, os.getpid).result()
+            assert fresh != dead
+        finally:
+            fanned.close()
+            serial.close()
+            executor.close()
 
 
 # --------------------------------------------------------------------- #
@@ -206,49 +246,6 @@ class TestSampleChunkScorer:
             assert rebuilt.pair_profile(task_id, worker_id) == (
                 problem.pair_profile(task_id, worker_id)
             )
-
-
-# --------------------------------------------------------------------- #
-# Shard-batched greedy scoring
-# --------------------------------------------------------------------- #
-
-
-class TestShardBatchedGreedy:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    @pytest.mark.parametrize("use_pruning", [True, False])
-    def test_inline_batches_identical(self, backend, use_pruning):
-        problem = problem_for(seed=17, backend=backend)
-        reference = GreedySolver(use_pruning=use_pruning, backend=backend).solve(
-            problem, rng=1
-        )
-        with ParallelSolveExecutor(processes=0) as executor:
-            solver = GreedySolver(use_pruning=use_pruning, backend=backend)
-            executor.bind(solver)
-            assert plan_key(solver.solve(problem, rng=1)) == plan_key(reference)
-
-    def test_shard_map_partition_identical(self):
-        problem = problem_for(seed=19)
-        reference = GreedySolver().solve(problem, rng=1)
-        with ParallelSolveExecutor(processes=0) as executor:
-            solver = GreedySolver()
-            executor.bind(solver, shard_map=ShardMap(4, 0.125))
-            assert plan_key(solver.solve(problem, rng=1)) == plan_key(reference)
-            scorer = solver.scorer
-            assert isinstance(scorer, ShardBatchedScorer)
-            assert scorer.stats["rounds"] > 0
-            assert scorer.stats["batches"] >= scorer.stats["rounds"]
-
-    @pytest.mark.churn
-    def test_process_batches_identical(self):
-        problem = problem_for(seed=23)
-        reference = GreedySolver().solve(problem, rng=1)
-        with ParallelSolveExecutor(
-            processes=2, min_pairs_per_process=1
-        ) as executor:
-            solver = GreedySolver()
-            executor.bind(solver, shard_map=ShardMap(2, 0.125))
-            assert plan_key(solver.solve(problem, rng=1)) == plan_key(reference)
-            assert solver.scorer.stats["batches_remote"] > 0
 
 
 # --------------------------------------------------------------------- #
@@ -314,23 +311,29 @@ class TestEngineWiring:
         parallel.close()
 
     def test_sharded_engine_with_solve_executor(self):
-        def build():
-            return (
-                AssignmentEngine(solver=GreedySolver(), rng=2),
-                ElasticShardedAssignmentEngine(
-                    solver=GreedySolver(),
-                    rng=2,
-                    num_shards=4,
-                    solve_executor=ParallelSolveExecutor(processes=0),
-                ),
-            )
+        # GREEDY under a solve executor is plain inline GREEDY, on both
+        # engines, for an owned (int) and a shared executor: the plans
+        # equal the executor-less engine's and no process is ever forked.
+        engines = [
+            lambda executor: AssignmentEngine(
+                solver=GreedySolver(), rng=2, solve_executor=executor
+            ),
+            lambda executor: ElasticShardedAssignmentEngine(
+                solver=GreedySolver(), rng=2, num_shards=4, solve_executor=executor
+            ),
+        ]
+        for make in engines:
+            for executor in (2, ParallelSolveExecutor(processes=2)):
 
-        serial, parallel = mirror_engines(build)
-        # The sharded engine's shard map drives the batch partition.
-        scorer = parallel.solver.scorer
-        assert isinstance(scorer, ShardBatchedScorer)
-        assert scorer.shard_map is parallel.shard_map
-        parallel.close()
+                def build():
+                    serial = AssignmentEngine(solver=GreedySolver(), rng=2)
+                    return serial, make(executor)
+
+                serial, parallel = mirror_engines(build)
+                assert parallel.solve_executor._pools is None
+                assert parallel.solve_executor.stats["solves"] == 0
+                parallel.close()
+                parallel.solve_executor.close()
 
     def test_warm_mode_with_solve_executor(self):
         def build():

@@ -21,7 +21,15 @@ objectives and stats:
   re-scores only what the last commit changed: a round is array kernels
   over the live rows plus one exact ``ΔE[STD]`` block for the uncached
   survivors; a commit drops the worker's rows and refills the bounds of
-  the committed task's remaining rows.
+  the committed task's remaining rows.  Across solves, the solver's two
+  :class:`~repro.fastpath.candidates.TaskStateMemo` s (``bounds_memo``,
+  ``estd_memo``) answer the bounds and the post-commit ``E[STD]`` of
+  every (task state, candidate) the last two solves met, keyed by the
+  values those functions read; only misses are computed, so an engine's
+  re-solve pays for the task states the previous epoch did not visit,
+  and the commit reuses the chosen row's memoised ``E[STD]``.  A hit
+  carries the bits a fresh evaluation would, so plans and stats do not
+  depend on what the memo holds.
 
 Rounds are globally coupled — each scores against the global minimum
 reliability and commits one pair — so GREEDY always solves inline, even
@@ -46,6 +54,7 @@ from repro.algorithms.pruning import (
 )
 from repro.core.objectives import IncrementalEvaluator
 from repro.core.problem import RdbscProblem
+from repro.fastpath.candidates import CandidateTable, TaskStateMemo
 from repro.skyline.dominance import best_index_by_dominance
 
 #: Below this many uncached candidates, the scalar per-pair loop beats
@@ -83,6 +92,11 @@ class GreedySolver(Solver):
             raise ValueError(f"unknown backend {backend!r}")
         self.use_pruning = use_pruning
         self.backend = backend
+        # The numpy table path's cross-solve memos (Section 4.3 bounds and
+        # post-commit E[STD] per (task state, candidate) values); they
+        # only ever repeat results, so they are not configuration.
+        self.bounds_memo = TaskStateMemo()
+        self.estd_memo = TaskStateMemo()
 
     def solve(self, problem: RdbscProblem, rng: RngLike = None) -> SolverResult:
         evaluator = IncrementalEvaluator(problem)
@@ -179,11 +193,15 @@ class GreedySolver(Solver):
         Python iterates only over Lemma 4.3 survivors (ranking, exact
         block) and the committed task's live rows (bounds refill);
         everything per-candidate is array work on the table's columns.
+        Bounds and exact values come from the solver's cross-solve memos
+        first; only their misses are computed.
         """
         from repro.engine.profile import phase
-        from repro.fastpath.candidates import CandidateTable
         from repro.fastpath.kernels import batch_delta_min_r, lemma43_prune_order
 
+        bounds_memo, estd_memo = self.bounds_memo, self.estd_memo
+        bounds_memo.rotate()
+        estd_memo.rotate()
         with phase("prune"):
             table = CandidateTable(problem, evaluator, unassigned, log_weights)
 
@@ -191,15 +209,19 @@ class GreedySolver(Solver):
                 """Section 4.3 bounds of one task's live ``rows``, at its state."""
                 if not self.use_pruning or not rows.size:
                     return
-                task_id = int(table.task_ids[rows[0]])
-                bounds = task_increase_bounds(
-                    problem.tasks_by_id[task_id],
-                    evaluator.state_of(task_id).profiles,
-                    [
-                        problem.pair_profile(task_id, worker_id)
-                        for worker_id in table.worker_ids[rows].tolist()
-                    ],
-                )
+                keys = table.memo_keys(rows)
+                bounds = [bounds_memo.get(key) for key in keys]
+                missing = [k for k, known in enumerate(bounds) if known is None]
+                if missing:
+                    task_id = int(table.task_ids[rows[0]])
+                    computed = task_increase_bounds(
+                        problem.tasks_by_id[task_id],
+                        evaluator.state_of(task_id).profiles,
+                        [table.profiles[rows[k]] for k in missing],
+                    )
+                    for k, known in zip(missing, computed):
+                        bounds[k] = known
+                        bounds_memo.put(keys[k], known)
                 table.lb[rows], table.ub[rows] = np.array(bounds).T
 
             for index in range(table.tasks.shape[0]):
@@ -226,17 +248,29 @@ class GreedySolver(Solver):
                 pruned += int(live.size - rows.size)
             with phase("delta_estd"):
                 # The known-mask is the slab-level mask: only rows it does
-                # not cover enter the exact evaluation.
+                # not cover enter the exact evaluation (memo hits count as
+                # evaluations, so the stats match the reference loop's).
                 block = rows[~table.known[rows]]
                 if block.size:
-                    values = self._block_dstd(problem, evaluator, table.pairs(block))
-                    table.set_exact(block, values)
+                    keys = table.memo_keys(block)
+                    after = np.array([estd_memo.get(key) for key in keys], dtype=float)
+                    missing = np.flatnonzero(np.isnan(after))
+                    if missing.size:
+                        values = self._block_dstd(
+                            problem, evaluator, table.pairs(block[missing])
+                        )
+                        after[missing] = values
+                        for k, value in zip(missing.tolist(), after[missing].tolist()):
+                            estd_memo.put(keys[k], value)
+                    table.set_exact(block, after)
                     exact_evaluations += int(block.size)
             with phase("select"):
                 scores = list(zip(dr.tolist(), table.dstd[rows].tolist()))
                 row = int(rows[best_index_by_dominance(scores)])
                 worker_id = int(table.worker_ids[row])
-                evaluator.apply(int(table.task_ids[row]), worker_id)
+                evaluator.apply(
+                    int(table.task_ids[row]), worker_id, new_estd=float(table.after[row])
+                )
                 unassigned.remove(worker_id)
                 stale = table.commit(row, evaluator)
             with phase("prune"):
@@ -250,20 +284,20 @@ class GreedySolver(Solver):
         evaluator: IncrementalEvaluator,
         pairs: List[Tuple[int, int]],
     ):
-        """Exact ``ΔE[STD]`` for a block of uncached candidates at once.
+        """Exact post-commit ``E[STD]`` for a block of uncached candidates.
 
         One padded profile slab through one
         :func:`repro.fastpath.diversity.batch_expected_std` call —
-        bitwise-equal to the scalar ``delta_estd``.  Blocks below
+        bitwise-equal to the scalar ``estd_after``.  Blocks below
         :data:`_MIN_BLOCK_DSTD` take the scalar loop instead: slab packing
         + kernel dispatch costs more than a handful of O(r^2) evaluations.
         """
         from repro.fastpath.diversity import batch_expected_std, pack_delta_slab
 
         if len(pairs) < _MIN_BLOCK_DSTD:
-            return [evaluator.delta_estd(t, w) for t, w in pairs]
-        slab, old_estd = pack_delta_slab(problem, evaluator, pairs)
-        return batch_expected_std(slab) - old_estd
+            return [evaluator.estd_after(t, w) for t, w in pairs]
+        slab, _ = pack_delta_slab(problem, evaluator, pairs)
+        return batch_expected_std(slab)
 
     # ------------------------------------------------------------------ #
     # python backend: scoring of the scalar reference loop

@@ -184,18 +184,24 @@ class IncrementalEvaluator:
             return new_min
         return new_min - best
 
+    def estd_after(self, task_id: int, worker_id: int) -> float:
+        """The touched task's ``E[STD]`` if the pair were assigned, no mutation.
+
+        Costs ``O(r^2)`` for the task's current worker count ``r``.
+        """
+        state = self._states.get(task_id)
+        profiles = list(state.profiles) if state else []
+        profiles.append(self.problem.pair_profile(task_id, worker_id))
+        return expected_std(self.problem.tasks_by_id[task_id], profiles)
+
     def delta_estd(self, task_id: int, worker_id: int) -> float:
         """Exact ``E[STD]`` increase of the touched task, no mutation.
 
-        Always non-negative (Lemma 4.2); costs ``O(r^2)`` for the task's
-        current worker count ``r``.
+        Always non-negative (Lemma 4.2): :meth:`estd_after` minus the
+        task's current ``E[STD]``.
         """
-        task = self.problem.tasks_by_id[task_id]
         state = self._states.get(task_id)
-        old_estd = state.estd if state else 0.0
-        profiles = list(state.profiles) if state else []
-        profiles.append(self.problem.pair_profile(task_id, worker_id))
-        return expected_std(task, profiles) - old_estd
+        return self.estd_after(task_id, worker_id) - (state.estd if state else 0.0)
 
     def delta_if_assigned(self, task_id: int, worker_id: int) -> Tuple[float, float]:
         """``(delta min-R, delta E[STD])`` of assigning the pair, no mutation.
@@ -209,14 +215,21 @@ class IncrementalEvaluator:
 
     # -- mutation --------------------------------------------------------
 
-    def apply(self, task_id: int, worker_id: int) -> None:
-        """Commit the assignment of ``worker_id`` to ``task_id``."""
-        task = self.problem.tasks_by_id[task_id]
+    def apply(
+        self, task_id: int, worker_id: int, new_estd: Optional[float] = None
+    ) -> None:
+        """Commit the assignment of ``worker_id`` to ``task_id``.
+
+        ``new_estd`` is the task's post-commit ``E[STD]`` when the caller
+        already holds it (a memoised :meth:`estd_after` of this very pair,
+        so the bits are the same); it is computed here otherwise.
+        """
         worker = self.problem.workers_by_id[worker_id]
         state = self._states.setdefault(task_id, TaskState())
         state.profiles.append(self.problem.pair_profile(task_id, worker_id))
         state.r_value += worker.log_confidence_weight
-        new_estd = expected_std(task, state.profiles)
+        if new_estd is None:
+            new_estd = expected_std(self.problem.tasks_by_id[task_id], state.profiles)
         self.total_std += new_estd - state.estd
         state.estd = new_estd
         self.assignment.assign(task_id, worker_id)

@@ -14,7 +14,9 @@ broadcast equivalents over packed arrays:
     scoring and Section 4.3 pruning).
 ``candidates``
     :class:`CandidateTable` — the numpy GREEDY round loop's resident
-    candidate rows, packed once per solve and edited per commit.
+    candidate rows, packed once per solve and edited per commit — and
+    ``TaskStateMemo``, the value-keyed cross-solve memo of its bounds
+    and exact ``E[STD]`` values.
 ``diversity``
     :func:`batch_expected_std` / :func:`batch_delta_estd` — whole blocks
     of exact ``E[STD]`` evaluations over padded profile slabs

@@ -203,12 +203,14 @@ def test_bench_smoke(name):
     SMOKE_RUNNERS[name](module)
 
 
-def test_profile_workload_tool():
-    """``tools/profile_workload.py`` still builds and profiles a workload."""
+@pytest.mark.parametrize("workload", ["drift_elastic", "solve_full"])
+def test_profile_workload_tool(workload):
+    """``tools/profile_workload.py`` still builds and profiles a workload,
+    and reports the GREEDY memo hit rates of the profiled epochs."""
     done = subprocess.run(
         [
             sys.executable, str(BENCH_DIR.parent / "tools" / "profile_workload.py"),
-            "--workload", "drift_elastic", "--tiny", "--epochs", "4", "--limit", "5",
+            "--workload", workload, "--tiny", "--epochs", "4", "--limit", "5",
         ],
         capture_output=True, text=True, timeout=120,
     )
@@ -216,3 +218,11 @@ def test_profile_workload_tool():
     assert "epochs=4 (profiled)" in done.stdout
     assert "Ordered by: cumulative time" in done.stdout
     assert "Ordered by: internal time" in done.stdout
+    rates = [
+        line for line in done.stdout.splitlines()
+        if line.startswith("# GREEDY memo hit rates (profiled epochs): bounds ")
+    ]
+    assert len(rates) == 1 and " lookups, E[STD] " in rates[0]
+    if workload == "solve_full":
+        # Epochs re-solve a mostly unchanged instance: the memo is hit.
+        assert not rates[0].split("bounds ")[1].startswith("0.0%")

@@ -289,7 +289,11 @@ class TestKillAndRecover:
     def test_recovered_plans_bit_identical(
         self, backend, solve_mode, num_shards, tmp_path
     ):
-        solver_factory = GreedySolver
+        # The live engine's solver carries a warm cross-solve memo into the
+        # epochs after the crash; the recovered one starts cold.  Plans and
+        # counters must not tell them apart.
+        def solver_factory():
+            return GreedySolver(backend=backend)
 
         def make_engine(path):
             kwargs = dict(

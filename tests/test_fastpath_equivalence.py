@@ -24,7 +24,7 @@ from repro.algorithms.random_assign import (
     draw_random_assignment_batch,
 )
 from repro.core.objectives import IncrementalEvaluator
-from repro.core.problem import RdbscProblem
+from repro.core.problem import RdbscProblem, ValidPair
 from repro.core.task import SpatialTask
 from repro.core.validity import ValidityRule
 from repro.core.worker import MovingWorker
@@ -545,9 +545,9 @@ def test_candidate_table_bounds_work_is_o_delta(seed, monkeypatch):
     commits = []
     real_apply = evaluator.apply
 
-    def recording_apply(task_id, worker_id):
+    def recording_apply(task_id, worker_id, new_estd=None):
         commits.append((task_id, worker_id))
-        real_apply(task_id, worker_id)
+        real_apply(task_id, worker_id, new_estd)
 
     monkeypatch.setattr(pruning_module, "expected_std_bounds", counting_bounds)
     monkeypatch.setattr(evaluator, "apply", recording_apply)
@@ -567,3 +567,319 @@ def test_candidate_table_bounds_work_is_o_delta(seed, monkeypatch):
     assert calls["before"] <= distinct_tasks + len(commits)
     # The reference loop pays one "before" per "after".
     assert calls["before"] < calls["after"]
+
+
+# --------------------------------------------------------------------- #
+# The numpy GREEDY's cross-solve memo: re-solves on one solver instance
+# --------------------------------------------------------------------- #
+
+
+def _count_kernel_calls(monkeypatch):
+    """Count every exact / bounds ``E[STD]`` evaluation a solve can make."""
+    import repro.algorithms.pruning as pruning_module
+    import repro.core.objectives as objectives_module
+    import repro.fastpath.diversity as diversity_module
+
+    calls = {"bounds": 0, "expected_std": 0, "batch_expected_std": 0}
+
+    def counted(name, module, attribute):
+        real = getattr(module, attribute)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attribute, wrapper)
+
+    counted("bounds", pruning_module, "expected_std_bounds")
+    counted("expected_std", objectives_module, "expected_std")
+    counted("batch_expected_std", diversity_module, "batch_expected_std")
+    return calls
+
+
+@pytest.mark.parametrize("use_pruning", [True, False])
+def test_memo_resolve_of_unchanged_problem_evaluates_nothing(use_pruning, monkeypatch):
+    """A re-solve of the same instance is answered from the memo alone.
+
+    The second problem is rebuilt from the same tasks and workers, so its
+    profiles are new objects: the memo must match them by value.
+    """
+    problem = generate_problem(
+        ExperimentConfig.scaled_defaults(num_tasks=10, num_workers=28), 3
+    )
+    solver = GreedySolver(use_pruning=use_pruning, backend="numpy")
+    calls = _count_kernel_calls(monkeypatch)
+    first = solver.solve(problem)
+    assert calls["expected_std"] + calls["batch_expected_std"] > 0
+    assert (calls["bounds"] > 0) == use_pruning
+    if not use_pruning:
+        # The unpruned first round is one exact block over every row.
+        assert calls["batch_expected_std"] > 0
+
+    calls.update(bounds=0, expected_std=0, batch_expected_std=0)
+    again = solver.solve(RdbscProblem(problem.tasks, problem.workers))
+    assert calls == {"bounds": 0, "expected_std": 0, "batch_expected_std": 0}
+    assert sorted(again.assignment.pairs()) == sorted(first.assignment.pairs())
+    assert again.objective == first.objective
+    assert again.stats == first.stats
+    assert solver.estd_memo.misses and solver.estd_memo.hits
+    if use_pruning:
+        assert solver.bounds_memo.misses and solver.bounds_memo.hits
+
+
+def _churned(problem, rng, next_task_id):
+    """``problem`` after one epoch of churn: 3 workers jitter, one changes
+    confidence, one task is replaced by a new one."""
+    workers = list(problem.workers)
+    for k in rng.choice(len(workers), size=3, replace=False).tolist():
+        w = workers[k]
+        dx, dy = rng.normal(0.0, 0.03, size=2).tolist()
+        workers[k] = MovingWorker(
+            w.worker_id, Point(w.location.x + dx, w.location.y + dy),
+            w.velocity, w.cone, w.confidence, w.depart_time,
+        )
+    k = int(rng.integers(len(workers)))
+    w = workers[k]
+    workers[k] = MovingWorker(
+        w.worker_id, w.location, w.velocity, w.cone,
+        float(rng.uniform(0.5, 0.95)), w.depart_time,
+    )
+    tasks = list(problem.tasks)
+    k = int(rng.integers(len(tasks)))
+    old = tasks[k]
+    tasks[k] = SpatialTask(
+        next_task_id, Point(float(rng.uniform()), float(rng.uniform())),
+        old.start, old.end, old.beta,
+    )
+    return RdbscProblem(tasks, workers, problem.validity)
+
+
+def test_memo_holds_no_more_than_the_last_two_solves_touched():
+    problem = generate_problem(
+        ExperimentConfig.scaled_defaults(num_tasks=10, num_workers=28), 5
+    )
+    rng = np.random.default_rng(5)
+    solver = GreedySolver(backend="numpy")
+    touched = {"bounds": [], "E[STD]": []}
+    for label, memo in (("bounds", solver.bounds_memo), ("E[STD]", solver.estd_memo)):
+        solves = touched[label]
+        real_rotate, real_get, real_put = memo.rotate, memo.get, memo.put
+
+        def rotate(solves=solves, real_rotate=real_rotate):
+            solves.append(set())
+            real_rotate()
+
+        def get(key, solves=solves, real_get=real_get):
+            solves[-1].add(key)
+            return real_get(key)
+
+        def put(key, value, solves=solves, real_put=real_put):
+            solves[-1].add(key)
+            real_put(key, value)
+
+        memo.rotate, memo.get, memo.put = rotate, get, put
+
+    for step in range(10):
+        if step:
+            problem = _churned(problem, rng, next_task_id=100 + step)
+        result = solver.solve(problem)
+        fresh = GreedySolver(backend="numpy").solve(problem)
+        assert sorted(result.assignment.pairs()) == sorted(fresh.assignment.pairs())
+        assert (result.objective, result.stats) == (fresh.objective, fresh.stats)
+        for label, memo in (("bounds", solver.bounds_memo), ("E[STD]", solver.estd_memo)):
+            last_two = set().union(*touched[label][-2:])
+            assert 0 < len(memo) <= len(last_two)
+    assert len(touched["bounds"]) == 10
+    assert solver.bounds_memo.hits and solver.estd_memo.hits
+
+
+def _bits(values):
+    return [float(value).hex() for value in np.ravel(np.asarray(values, dtype=float))]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("period", [(0.0, 10.0), (0.0, 0.0)])
+def test_memo_keys_may_ignore_the_sign_of_zero(beta, period):
+    """Memo keys compare floats by value, so ``-0.0`` meets ``0.0``.
+
+    That is only sound because no output the memo stores depends on the
+    sign of a zero angle or arrival: the exact ``E[STD]`` (scalar and
+    batched) and the Section 4.3 bounds carry identical bits either way.
+    """
+    from repro.algorithms.pruning import task_increase_bounds
+    from repro.core.diversity import WorkerProfile
+    from repro.core.expected import expected_std, expected_std_bounds
+    from repro.fastpath import DiversitySlab, batch_expected_std
+
+    task = SpatialTask(0, Point(0.0, 0.0), period[0], period[1], beta)
+    sets = [
+        [(0.0, 0.0, 0.8)],
+        [(0.0, 0.0, 0.8), (0.0, 3.0, 0.5)],
+        [(0.0, 0.0, 0.8), (1.0, 3.0, 0.5), (0.0, 10.0, 0.3)],
+        [(0.0, 10.0, 0.95), (TWO_PI - 1e-12, 0.0, 0.5), (2.0, 0.0, 0.5)],
+    ]
+
+    def profiles(raw, flip):
+        return [
+            WorkerProfile(
+                k,
+                -0.0 if flip(k) and angle == 0.0 else angle,
+                -0.0 if flip(k) and arrival == 0.0 else arrival,
+                confidence,
+            )
+            for k, (angle, arrival, confidence) in enumerate(raw)
+        ]
+
+    variants = [lambda k: False, lambda k: True, lambda k: k % 2 == 1]
+    for raw in sets:
+        rows = [profiles(raw, flip) for flip in variants]
+        scalar = [
+            _bits([expected_std(task, row), *expected_std_bounds(task, row)])
+            + _bits(task_increase_bounds(task, row[:-1], row[-1:]))
+            for row in rows
+        ]
+        assert scalar[1:] == scalar[:-1]
+        width = len(raw)
+        slab = DiversitySlab(
+            betas=np.full(len(rows), beta),
+            starts=np.full(len(rows), period[0]),
+            ends=np.full(len(rows), period[1]),
+            counts=np.full(len(rows), width, dtype=np.int64),
+            angles=np.array([[p.angle for p in row] for row in rows]),
+            arrivals=np.array([[p.arrival for p in row] for row in rows]),
+            confidences=np.array([[p.confidence for p in row] for row in rows]),
+        )
+        batched = _bits(batch_expected_std(slab))
+        assert batched == [scalar[0][0]] * len(rows)
+
+
+# Hand-placed geometry for the property test below.  Tasks sit on the
+# x-axis (y == +0.0); a worker is placed relative to its anchor task:
+_WORKER_OFFSETS = {
+    "on": (0.0, 0.0),  # on the task: angle 0.0 by convention
+    "east": (0.25, 0.0),  # bearing +0.0
+    "east_neg": (0.25, -0.0),  # y == -0.0, so the bearing is atan2(-0.0, .) == -0.0
+    "below_2pi": (0.25, -1e-12),  # bearing just below 2π
+    "north": (0.0, 0.5),  # π/2, shared by every "north" worker
+    "free_a": (-0.3, 0.45),
+    "free_b": (0.1, -0.3),
+}
+_ARRIVALS = {
+    "start": lambda s, e: s,
+    "end": lambda s, e: e,
+    "below_start": lambda s, e: s - 0.5,  # clamped up to the start
+    "past_end": lambda s, e: e + 0.5,  # clamped down to the end
+    "inside": lambda s, e: s + 0.37 * (e - s),
+    "at_3": lambda s, e: 3.0,  # fixed: a period edit moves it inside or out
+}
+# Periods pairwise sharing a start or an end; the last has zero length.
+_PERIODS = ((0.0, 10.0), (0.0, 4.0), (2.0, 10.0), (5.0, 5.0))
+_BETAS = (0.0, 0.5, 1.0)
+_CONFIDENCES = (0.3, 0.5, 0.8, 0.95)
+
+
+def _draw_task(draw):
+    return (draw(st.sampled_from(_BETAS)), draw(st.sampled_from(_PERIODS)))
+
+
+def _draw_worker(draw, task_ids):
+    anchor = draw(st.sampled_from(task_ids))
+    others = draw(st.sets(st.sampled_from(task_ids), max_size=2))
+    return {
+        "anchor": anchor,
+        "offset": draw(st.sampled_from(sorted(_WORKER_OFFSETS))),
+        "confidence": draw(st.sampled_from(_CONFIDENCES)),
+        "links": {
+            task_id: draw(st.sampled_from(sorted(_ARRIVALS)))
+            for task_id in sorted({anchor} | others)
+        },
+    }
+
+
+def _memo_problem(tasks, workers):
+    """Tasks ``{id: (beta, period)}`` at ``x = id``; workers as drawn."""
+    task_objs = [
+        SpatialTask(task_id, Point(float(task_id), 0.0), start, end, beta)
+        for task_id, (beta, (start, end)) in sorted(tasks.items())
+    ]
+    worker_objs, pairs = [], []
+    full = AngleInterval.full_circle()
+    for worker_id, worker in sorted(workers.items()):
+        dx, y = _WORKER_OFFSETS[worker["offset"]]
+        location = Point(float(worker["anchor"]) + dx, y)
+        worker_objs.append(
+            MovingWorker(worker_id, location, 1.0, full, worker["confidence"], 0.0)
+        )
+        for task_id, arrival in worker["links"].items():
+            start, end = tasks[task_id][1]
+            pairs.append(ValidPair(task_id, worker_id, _ARRIVALS[arrival](start, end)))
+    return RdbscProblem(task_objs, worker_objs, precomputed_pairs=pairs)
+
+
+def test_memo_property_geometry_is_what_it_claims():
+    tasks = {0: (0.5, (0.0, 10.0))}
+    workers = {
+        k: {"anchor": 0, "offset": offset, "confidence": 0.5, "links": {0: "start"}}
+        for k, offset in enumerate(sorted(_WORKER_OFFSETS))
+    }
+    problem = _memo_problem(tasks, workers)
+    angle = {
+        workers[k]["offset"]: problem.pair_profile(0, k).angle for k in workers
+    }
+    assert math.copysign(1.0, angle["on"]) == 1.0 and angle["on"] == 0.0
+    assert math.copysign(1.0, angle["east"]) == 1.0 and angle["east"] == 0.0
+    assert math.copysign(1.0, angle["east_neg"]) == -1.0 and angle["east_neg"] == 0.0
+    assert TWO_PI - 1e-9 < angle["below_2pi"] < TWO_PI
+    assert angle["north"] == math.pi / 2.0
+
+
+@pytest.mark.parametrize("use_pruning", [True, False])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_memo_resolves_match_fresh_solvers(use_pruning, data):
+    """Churned re-solves on one memo-carrying solver change nothing.
+
+    Every step jitters workers (signed-zero and near-2π bearings, workers
+    on their task, shared bearings), changes confidences and replaces
+    tasks (same id with a new β / period, or a new id); after each, the
+    memo solver's plan, objective and full stats equal a fresh numpy
+    solver's and the python reference loop's.
+    """
+    draw = data.draw
+    tasks = {task_id: _draw_task(draw) for task_id in range(draw(st.integers(1, 4)))}
+    workers = {
+        worker_id: _draw_worker(draw, sorted(tasks))
+        for worker_id in range(draw(st.integers(1, 9)))
+    }
+    next_task_id = len(tasks)
+    solver = GreedySolver(use_pruning=use_pruning, backend="numpy")
+    for step in range(draw(st.integers(3, 5))):
+        for _ in range(draw(st.integers(0, 3)) if step else 0):
+            op = draw(st.sampled_from(["jitter", "confidence", "task_params", "task_new"]))
+            if op == "jitter":
+                worker = workers[draw(st.sampled_from(sorted(workers)))]
+                worker["offset"] = draw(st.sampled_from(sorted(_WORKER_OFFSETS)))
+            elif op == "confidence":
+                worker = workers[draw(st.sampled_from(sorted(workers)))]
+                worker["confidence"] = draw(st.sampled_from(_CONFIDENCES))
+            elif op == "task_params":
+                tasks[draw(st.sampled_from(sorted(tasks)))] = _draw_task(draw)
+            else:
+                gone = draw(st.sampled_from(sorted(tasks)))
+                tasks[next_task_id] = _draw_task(draw)
+                del tasks[gone]
+                for worker in workers.values():
+                    if worker["anchor"] == gone:
+                        worker["anchor"] = next_task_id
+                    if gone in worker["links"]:
+                        worker["links"][next_task_id] = worker["links"].pop(gone)
+                next_task_id += 1
+        problem = _memo_problem(tasks, workers)
+        result = solver.solve(problem)
+        for other in (
+            GreedySolver(use_pruning=use_pruning, backend="numpy").solve(problem),
+            GreedySolver(use_pruning=use_pruning).solve(problem),
+        ):
+            assert sorted(result.assignment.pairs()) == sorted(other.assignment.pairs())
+            assert result.objective == other.objective
+            assert result.stats == other.stats

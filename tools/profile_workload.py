@@ -8,8 +8,11 @@ builds the workload's scenario and engine exactly as the benchmark does
 warm-up epochs unprofiled, then profiles the next ``--epochs`` epochs
 through ``workloads.run_epochs`` and prints the wall / apply / epoch
 milliseconds per epoch (profiler on, so inflated — use them to compare
-two profiles, not as timings) and the profile sorted by cumulative time
-and by own time (``--sort`` keeps only one of the two tables).
+two profiles, not as timings), for a GREEDY engine the hit rates of the
+solver's cross-solve bounds and E[STD] memos over those epochs (read from
+the memos' own ``hits`` / ``misses``), and the profile sorted by
+cumulative time and by own time (``--sort`` keeps only one of the two
+tables).
 
 Call counts repeat exactly for a given seed, so they can be compared
 between two commits; cProfile's per-call cost shifts the time
@@ -38,8 +41,28 @@ ROOT = Path(__file__).resolve().parent.parent
 SORTS = ("cumulative", "tottime")
 
 
+def memo_counts(engine):
+    """``{memo: (hits, misses)}`` of the engine's GREEDY cross-solve memos.
+
+    Empty when the engine's solver keeps none (SAMPLING).
+    """
+    solver = engine.solver
+    return {
+        label: (memo.hits, memo.misses)
+        for label, memo in (
+            ("bounds", getattr(solver, "bounds_memo", None)),
+            ("E[STD]", getattr(solver, "estd_memo", None)),
+        )
+        if memo is not None
+    }
+
+
 def profile(name: str, epochs: int, seed: int, tiny: bool):
-    """Profile ``epochs`` post-warm-up epochs; ``(Profile, wall_s, apply_ns, epoch_ns)``."""
+    """Profile ``epochs`` post-warm-up epochs.
+
+    Returns ``(Profile, wall_s, apply_ns, epoch_ns, memo)`` where ``memo``
+    maps each GREEDY memo to its ``(hits, misses)`` over those epochs.
+    """
     from e2e import workloads
     from e2e.metrics import Ops
 
@@ -58,6 +81,7 @@ def profile(name: str, epochs: int, seed: int, tiny: bool):
         )
         try:
             workloads.run_epochs(engine, scenario.script[:warmup], ops)
+            before = memo_counts(engine)
             started = perf_counter_ns()
             profiler.enable()
             apply_ns, epoch_ns, _ = workloads.run_epochs(
@@ -65,13 +89,17 @@ def profile(name: str, epochs: int, seed: int, tiny: bool):
             )
             profiler.disable()
             wall_s = (perf_counter_ns() - started) / 1e9
+            memo = {
+                label: (hits - before[label][0], misses - before[label][1])
+                for label, (hits, misses) in memo_counts(engine).items()
+            }
         finally:
             engine.close()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     if ops.failed:
         raise SystemExit(f"{ops.failed} failed operations: {ops.notes}")
-    return profiler, wall_s, apply_ns, epoch_ns
+    return profiler, wall_s, apply_ns, epoch_ns, memo
 
 
 def main(argv=None) -> int:
@@ -90,7 +118,7 @@ def main(argv=None) -> int:
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
-    profiler, wall_s, apply_ns, epoch_ns = profile(
+    profiler, wall_s, apply_ns, epoch_ns, memo = profile(
         args.workload, args.epochs, args.seed, args.tiny
     )
     done = len(epoch_ns)
@@ -100,6 +128,11 @@ def main(argv=None) -> int:
         f"apply {sum(apply_ns) / 1e6 / done:.1f} ms, "
         f"epoch {sum(epoch_ns) / 1e6 / done:.1f} ms"
     )
+    if memo:
+        print("# GREEDY memo hit rates (profiled epochs): " + ", ".join(
+            f"{label} {hits / max(hits + misses, 1):.1%} of {hits + misses} lookups"
+            for label, (hits, misses) in memo.items()
+        ))
     stats = pstats.Stats(profiler, stream=sys.stdout).strip_dirs()
     for key in (args.sort,) if args.sort else SORTS:
         stats.sort_stats(key).print_stats(args.limit)

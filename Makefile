@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test benchsmoke bench-fastpath bench-incremental bench-warmstart bench-elastic bench-parallel bench-durability bench-dstd bench-serve docs-lint bench golden e2e-smoke pairs profile surface
+.PHONY: test benchsmoke bench-fastpath bench-incremental bench-warmstart bench-elastic bench-parallel bench-durability bench-dstd bench-serve docs-lint bench golden e2e-smoke examples-smoke pairs profile surface
 
 # Tier-1 verification (the command CI runs).
 test:
@@ -52,6 +52,10 @@ bench-serve:
 # catches a broken benchmark-facing name before the perf gate does.
 e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e -q
+
+# Runs every examples/*.py script in a subprocess; each must exit 0.
+examples-smoke:
+	$(PYTHON) -m pytest -q -m examples tests/test_examples.py
 
 # Paired parent-vs-change runs of one BENCHMARK.json workload, with the
 # win count and the median-gap-vs-parent-quartile verdict per metric:

@@ -1,13 +1,13 @@
 """A crash-safe session: durable logging, kill-and-recover, cold analytics.
 
-One churn-heavy morning is driven through a ``CrowdsourcingSession``
-with ``durable_path=`` set, so every churn event, epoch marker and
-periodic full-state snapshot lands in a SQLite write-ahead log.  Halfway
-through, the session object is dropped without ``close()`` — a crash.
-``CrowdsourcingSession.restore`` then rebuilds the engine from the log
-(latest snapshot + tail replay) and the remaining epochs continue as if
-nothing happened: the recovered plans are compared epoch-by-epoch with
-an uninterrupted twin session and must match bit-exactly.
+One churn-heavy morning is driven through an ``AssignmentEngine`` with
+``durable_path=`` set, so every churn event, epoch marker and periodic
+full-state snapshot lands in a SQLite write-ahead log.  Halfway through,
+the engine object is dropped without ``close()`` — a crash.
+``restore_engine`` then rebuilds the engine from the log (latest
+snapshot + tail replay) and the remaining epochs continue as if nothing
+happened: the recovered plans are compared epoch-by-epoch with an
+uninterrupted twin engine and must match bit-exactly.
 
 The log outlives the session, so the final section walks
 ``DurableLog.epoch_history()`` — the whole assignment history (clock,
@@ -23,8 +23,8 @@ import numpy as np
 
 from repro.algorithms import GreedySolver
 from repro.datagen import ExperimentConfig, generate_tasks, generate_workers
-from repro.dynamic import CrowdsourcingSession
-from repro.engine.durable import DurableLog
+from repro.engine import AssignmentEngine
+from repro.engine.durable import DurableLog, restore_engine
 
 EPOCHS = 10
 KILL_AFTER = 5              # the "power cut" lands after this many re-plans
@@ -61,18 +61,18 @@ def build_workload(seed=17):
     return tasks, initial_workers, script
 
 
-def drive(session, tasks, workers, script, start=0, register=True):
+def drive(engine, tasks, workers, script, start=0, register=True):
     """Replay script epochs ``start..``; returns the per-epoch dispatches."""
     if register:
         for task in tasks:
-            session.add_task(task)
+            engine.add_task(task)
         for worker in workers:
-            session.add_worker(worker)
+            engine.add_worker(worker)
     plans = []
     for k in range(start, len(script)):
         for op, payload in script[k]:
-            getattr(session, op)(payload)
-        outcome = session.reassign(float(k))
+            getattr(engine, op)(payload)
+        outcome = engine.epoch(float(k))
         plans.append(sorted(outcome.assignment.pairs()))
     return plans
 
@@ -82,29 +82,29 @@ def main():
     tasks, workers, script = build_workload()
 
     # The uninterrupted twin: same workload, never crashes.
-    twin = CrowdsourcingSession(solver=GreedySolver(), rng=7)
+    twin = AssignmentEngine(solver=GreedySolver(), rng=7)
     twin_plans = drive(twin, tasks, workers, script)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "session.db"
 
-        session = CrowdsourcingSession(
+        engine = AssignmentEngine(
             solver=GreedySolver(),
             rng=7,
             durable_path=path,
             durable_snapshot_every=3,
         )
         before = drive(
-            session, tasks, workers, [script[k] for k in range(KILL_AFTER)]
+            engine, tasks, workers, [script[k] for k in range(KILL_AFTER)]
         )
-        del session  # crash: no close(), no flush beyond the WAL
+        del engine  # crash: no close(), no flush beyond the WAL
         print(f"crashed after {KILL_AFTER} re-plans; log survives at {path.name}")
 
-        recovered = CrowdsourcingSession.restore(path, solver=GreedySolver())
+        recovered = restore_engine(path, solver=GreedySolver())
         print(
             f"recovered: {recovered.num_tasks} tasks, "
             f"{recovered.num_workers} workers, "
-            f"{recovered.engine.metrics.epochs} epochs already on the books"
+            f"{recovered.metrics.epochs} epochs already on the books"
         )
         after = drive(
             recovered, tasks, workers, script, start=KILL_AFTER, register=False

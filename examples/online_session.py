@@ -1,14 +1,14 @@
 """A live RDB-SC system under churn: the paper's dynamic scenario.
 
 Tasks arrive as a Poisson stream, workers register and leave, the grid
-index absorbs every change (Section 7.2), and the session re-plans every
+index absorbs every change (Section 7.2), and the engine re-plans every
 half hour with the SAMPLING solver (Figure 10's strategy, library-level).
 Finishes with a terminal map of the final system state.
 """
 
 from repro.algorithms import SamplingSolver
 from repro.datagen.streams import StreamConfig, generate_event_stream, replay_stream
-from repro.dynamic import CrowdsourcingSession
+from repro.engine import AssignmentEngine
 from repro.viz import render_instance, series_with_sparkline
 
 
@@ -30,19 +30,18 @@ def main() -> None:
         f"{n_departs} departures over {config.horizon} h\n"
     )
 
-    session = CrowdsourcingSession(
+    engine = AssignmentEngine(
         solver=SamplingSolver(num_samples=40), eta=0.125, rng=9
     )
     outcomes = replay_stream(
-        session, events, reassign_every=0.5, horizon=config.horizon
+        engine, events, reassign_every=0.5, horizon=config.horizon
     )
 
     print(f"{'time':>5} | {'tasks':>5} | {'workers':>7} | {'pairs':>5} | "
           f"{'min rel':>8} | {'total_STD':>9}")
-    for step, outcome in enumerate(outcomes):
-        now = step * 0.5
+    for outcome in outcomes:
         print(
-            f"{now:5.1f} | {outcome.num_tasks:5d} | {outcome.num_workers:7d} | "
+            f"{outcome.now:5.1f} | {outcome.num_tasks:5d} | {outcome.num_workers:7d} | "
             f"{outcome.num_pairs:5d} | {outcome.objective.min_reliability:8.4f} | "
             f"{outcome.objective.total_std:9.4f}"
         )
@@ -54,15 +53,16 @@ def main() -> None:
     print(series_with_sparkline(
         "live tasks over time", [float(o.num_tasks) for o in outcomes], precision=0
     ))
+    events_seen = engine.metrics.events
     print(
-        f"\nsession stats: {session.stats.tasks_added} tasks added, "
-        f"{session.stats.tasks_expired} expired, "
-        f"{session.stats.workers_added} workers added, "
-        f"{session.stats.workers_removed} left, "
-        f"{session.stats.reassignments} reassignments\n"
+        f"\nsession stats: {events_seen.get('task_arrive', 0)} tasks added, "
+        f"{events_seen.get('task_expire', 0)} expired, "
+        f"{events_seen.get('worker_arrive', 0)} workers added, "
+        f"{events_seen.get('worker_leave', 0)} left, "
+        f"{engine.metrics.epochs} reassignments\n"
     )
     print("final system state:")
-    print(render_instance(session.current_problem(), width=48, height=14))
+    print(render_instance(engine.current_problem(), width=48, height=14))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""One sampling-heavy session, serial vs parallel solve: identical plans.
+"""One sampling-heavy engine, serial vs parallel solve: identical plans.
 
-A session whose epochs are dominated by the SAMPLING solve — a
+An engine whose epochs are dominated by the SAMPLING solve — a
 mid-density instance re-planned with a 512-sample budget under light
 movement churn — is replayed three times over the same event stream:
 serially (the substream contract, no executor), through the inline
@@ -19,9 +19,8 @@ import time
 import numpy as np
 
 from repro.algorithms import SamplingSolver
-from repro.dynamic import CrowdsourcingSession
 from repro.datagen import ExperimentConfig, generate_tasks, generate_workers
-from repro.engine import ParallelSolveExecutor
+from repro.engine import AssignmentEngine, ParallelSolveExecutor
 from repro.geometry.points import Point
 
 EPOCHS = 4
@@ -59,35 +58,35 @@ def build_workload(seed=47):
 
 
 def replay(label, solve_executor, tasks, workers, script):
-    """Run the session once; returns (label, plans, epoch time, solve time)."""
-    session = CrowdsourcingSession(
+    """Run the engine once; returns (label, plans, epoch time, solve time)."""
+    engine = AssignmentEngine(
         solver=SamplingSolver(num_samples=NUM_SAMPLES),
         rng=7,
         solve_executor=solve_executor,
     )
     for task in tasks:
-        session.add_task(task)
+        engine.add_task(task)
     for worker in workers:
-        session.add_worker(worker)
-    session.reassign(0.0)  # warm-up plan (pool start-up) excluded from timing
-    solve_before = session.engine.metrics.solve_seconds
+        engine.add_worker(worker)
+    engine.epoch(0.0)  # warm-up plan (pool start-up) excluded from timing
+    solve_before = engine.metrics.solve_seconds
     plans = []
     started = time.perf_counter()
     for ops in script:
         for moved in ops:
-            session.update_worker(moved)
-        outcome = session.reassign(0.0)
+            engine.update_worker(moved)
+        outcome = engine.epoch(0.0)
         plans.append(
             (sorted(outcome.assignment.pairs()), outcome.objective)
         )
     epoch_seconds = time.perf_counter() - started
-    solve_seconds = session.engine.metrics.solve_seconds - solve_before
-    session.close()
+    solve_seconds = engine.metrics.solve_seconds - solve_before
+    engine.close()
     return label, plans, epoch_seconds, solve_seconds
 
 
 def main():
-    """Replay the same session three ways and print the throughput table."""
+    """Replay the same workload three ways and print the throughput table."""
     tasks, workers, script = build_workload()
     rows = [
         replay("serial", None, tasks, workers, script),

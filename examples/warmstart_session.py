@@ -3,7 +3,7 @@
 The same seven-day workload — a stable worker population with a steady
 drip of arrivals, departures and position refreshes, plus tasks posted
 and expiring around the clock — is replayed twice through
-``CrowdsourcingSession``: once with ``solve_mode="full"`` (the
+``AssignmentEngine``: once with ``solve_mode="full"`` (the
 paper-faithful GREEDY solve at every re-planning instant) and once with
 ``solve_mode="warm"`` (quiet epochs repair the previous plan through
 ``repro.solvers.incremental``).  The comparison printed at the end is
@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.algorithms import GreedySolver
 from repro.datagen import ExperimentConfig, generate_tasks, generate_workers
-from repro.dynamic import CrowdsourcingSession
+from repro.engine import AssignmentEngine
 from repro.geometry.points import Point
 from repro.viz import series_with_sparkline
 
@@ -83,22 +83,21 @@ def build_workload(seed=29):
 
 def run_session(mode, initial_tasks, initial_workers, script):
     """Replay the shared script; returns per-epoch objectives and timings."""
-    session = CrowdsourcingSession(
+    engine = AssignmentEngine(
         solver=GreedySolver(), eta=0.125, rng=7, solve_mode=mode
     )
     for task in initial_tasks:
-        session.add_task(task)
+        engine.add_task(task)
     for worker in initial_workers:
-        session.add_worker(worker)
-    session.reassign(0.0)  # epoch zero establishes the first plan
+        engine.add_worker(worker)
+    engine.epoch(0.0)  # epoch zero establishes the first plan
     objectives = []
     for ops in script:
         for kind, payload in ops:
-            getattr(session, kind)(payload)
-        outcome = session.reassign(0.0)
+            getattr(engine, kind)(payload)
+        outcome = engine.epoch(0.0)
         objectives.append(outcome.objective)
-    metrics = session.engine.metrics
-    return objectives, metrics
+    return objectives, engine.metrics
 
 
 def main() -> None:

@@ -10,10 +10,10 @@ The package implements the paper's full stack:
 * the cost-model-based grid index for dynamic maintenance, with a
   persistent valid-pair cache for incremental retrieval
   (:mod:`repro.index`),
-* the event-driven incremental assignment engine powering the session
-  and the platform simulator (:mod:`repro.engine`),
+* the event-driven incremental assignment engine, the library's online
+  front door and the platform simulator's core (:mod:`repro.engine`),
 * NumPy batch kernels behind the ``backend="numpy"`` flags of the
-  problem, index, solvers and session, plus slot-stable packed arrays
+  problem, index, solvers and engine, plus a slot-stable worker slab
   for per-event updates (:mod:`repro.fastpath`),
 * Table-2 synthetic workload generators and substitutes for the paper's
   real datasets (:mod:`repro.datagen`),
@@ -54,7 +54,6 @@ from repro.core import (
     evaluate_assignment,
 )
 from repro.datagen import ExperimentConfig, generate_problem
-from repro.dynamic import CrowdsourcingSession
 from repro.engine import AssignmentEngine
 
 __version__ = "1.0.0"
@@ -62,7 +61,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Assignment",
     "AssignmentEngine",
-    "CrowdsourcingSession",
     "DivideConquerSolver",
     "ExhaustiveSolver",
     "ExperimentConfig",

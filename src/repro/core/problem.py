@@ -71,7 +71,6 @@ class RdbscProblem:
     ) -> None:
         if backend not in ("python", "numpy"):
             raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
         self.validity = validity if validity is not None else ValidityRule()
         self.tasks: Tuple[SpatialTask, ...] = tuple(tasks)
         self.workers: Tuple[MovingWorker, ...] = tuple(workers)
@@ -261,9 +260,7 @@ class RdbscProblem:
             for (task_id, worker_id), arrival in self._arrivals.items()
             if task_id in task_set and worker_id in worker_set
         ]
-        return RdbscProblem(
-            tasks, workers, self.validity, precomputed_pairs=pairs, backend=self.backend
-        )
+        return RdbscProblem(tasks, workers, self.validity, precomputed_pairs=pairs)
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (

@@ -4,13 +4,12 @@ The paper's setting is explicitly dynamic: "the newly created tasks keep on
 arriving", "workers can freely register or leave".  This module generates
 that churn as an *event stream* — Poisson task arrivals, Poisson worker
 arrivals, exponentially distributed worker dwell times — and replays it
-against a :class:`repro.dynamic.CrowdsourcingSession` with periodic
+against a :class:`repro.engine.AssignmentEngine` with periodic
 re-assignment, the library-level analogue of the platform experiment.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -19,6 +18,7 @@ from repro.core.task import SpatialTask
 from repro.core.worker import MovingWorker
 from repro.datagen.config import ExperimentConfig
 from repro.datagen.synthetic import generate_tasks, generate_workers
+from repro.engine.scheduler import epoch_ticks
 
 #: Event kinds.
 TASK_ARRIVAL = "task_arrival"
@@ -143,15 +143,18 @@ def generate_event_stream(
 
 
 def replay_stream(
-    session,
+    engine,
     events: Sequence[StreamEvent],
     reassign_every: float = 1.0,
     horizon: Optional[float] = None,
 ):
-    """Drive a :class:`repro.dynamic.CrowdsourcingSession` with a stream.
+    """Drive a :class:`repro.engine.AssignmentEngine` with a stream.
 
-    Processes events in time order and calls ``session.reassign`` at every
-    ``reassign_every`` boundary; returns the list of reassignment outcomes.
+    Processes events in time order and calls ``engine.epoch`` at every
+    tick of :func:`repro.engine.scheduler.epoch_ticks` (``k *
+    reassign_every``, so an event stamped exactly on a tick is applied in
+    that tick's epoch); returns the list of
+    :class:`repro.engine.EpochResult`.
 
     Raises:
         ValueError: for a non-positive period.
@@ -161,25 +164,23 @@ def replay_stream(
     end = horizon if horizon is not None else (
         max((e.time for e in events), default=0.0) + reassign_every
     )
-    outcomes = []
+    results = []
     index = 0
-    now = 0.0
-    while now <= end + 1e-9:
-        while index < len(events) and events[index].time <= now:
+    for tick in epoch_ticks(reassign_every, end):
+        while index < len(events) and events[index].time <= tick.time:
             event = events[index]
             index += 1
             if event.kind == TASK_ARRIVAL:
-                session.add_task(event.task)
+                engine.add_task(event.task)
             elif event.kind == WORKER_ARRIVAL:
-                session.add_worker(event.worker)
+                engine.add_worker(event.worker)
             elif event.kind == WORKER_DEPARTURE:
                 # The worker may have been removed already (defensive).
                 try:
-                    session.remove_worker(event.worker_id)
+                    engine.remove_worker(event.worker_id)
                 except KeyError:
                     pass
             else:  # pragma: no cover - stream generator emits known kinds
                 raise ValueError(f"unknown event kind {event.kind!r}")
-        outcomes.append(session.reassign(now=now))
-        now += reassign_every
-    return outcomes
+        results.append(engine.epoch(tick.time))
+    return results

@@ -10,7 +10,8 @@ not O(m * n) rebuilds.  This package is that machinery:
     Stable time-ordered event queue plus the periodic epoch clock.
 ``engine``
     :class:`AssignmentEngine` — keeps the grid index's persistent pair
-    cache and the slot-stable packed slabs current per event, solves per
+    cache (its one retrieval path) and the slot-stable worker slab
+    current per event, solves per
     epoch (cold, or by repairing the previous plan via
     :mod:`repro.solvers.incremental` when ``solve_mode="warm"`` and the
     inter-epoch churn is small), and pins committed contributions as
@@ -51,9 +52,10 @@ not O(m * n) rebuilds.  This package is that machinery:
     :class:`~repro.engine.metrics.EpochRecord`; see
     ``docs/PROFILING.md``.
 
-:class:`repro.dynamic.CrowdsourcingSession` (the library façade) and
+:class:`AssignmentEngine` is the library's online front door: register
+and withdraw tasks and workers, then call ``epoch(now)`` to re-plan.
 :class:`repro.platform_sim.simulator.PlatformSimulator` (the Figure 18
-driver) both run on this engine.
+driver) and :func:`repro.datagen.streams.replay_stream` both run on it.
 """
 
 from repro.engine.engine import (

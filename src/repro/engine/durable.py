@@ -793,7 +793,10 @@ def restore_engine(
                 **common,
             )
         else:
-            engine = AssignmentEngine(use_index=meta["use_index"], **common)
+            # Older logs also record whether the engine retrieved pairs
+            # through the grid index; the no-index scan returned the same
+            # pair set, so that key is ignored.
+            engine = AssignmentEngine(**common)
         try:
             if type(engine.solver).__name__ != meta["solver"]:
                 raise ValueError(

@@ -652,7 +652,6 @@ class ElasticShardedAssignmentEngine(AssignmentEngine):
             validity=validity,
             rng=rng,
             backend=backend,
-            use_index=True,
             reanchor_on_epoch=reanchor_on_epoch,
             solve_mode=solve_mode,
             warm_churn_threshold=warm_churn_threshold,

@@ -7,9 +7,9 @@ state current *per event* instead of per epoch —
 
 * the scalar object dicts (source of truth, insertion-ordered),
 * the grid index with its persistent valid-pair cache
-  (:class:`repro.index.grid.RdbscGrid`), and
-* the slot-stable packed slabs
-  (:class:`repro.fastpath.arrays.WorkerSlots` / ``TaskSlots``)
+  (:class:`repro.index.grid.RdbscGrid`), the one retrieval path, and
+* the slot-stable worker slab (:class:`repro.fastpath.arrays.WorkerSlots`)
+  whose Eq. 8 weights a warm GREEDY repair reads
 
 — and, at each epoch tick, retrieves the valid pairs incrementally
 (re-probing only cache entries dirtied since the previous epoch), builds
@@ -33,9 +33,9 @@ Platform concerns plug in through ``epoch`` keywords: committed
 contributions are pinned as degree-one *virtual workers* (Figure 10's
 ``A`` / ``S_c``), and ``forbidden`` pairs (a user is never pushed the
 same question twice) are filtered from the edge set.
-:class:`repro.dynamic.CrowdsourcingSession` and
-:class:`repro.platform_sim.simulator.PlatformSimulator` are both thin
-drivers of this class.
+:class:`repro.platform_sim.simulator.PlatformSimulator` and
+:func:`repro.datagen.streams.replay_stream` are thin drivers of this
+class.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from repro.engine import events as ev
 from repro.engine import durable as dur
 from repro.engine.metrics import EngineMetrics, EpochRecord
 from repro.engine.profile import PhaseProfiler, activated
-from repro.fastpath.arrays import TaskSlots, WorkerSlots
+from repro.fastpath.arrays import WorkerSlots
 from repro.solvers.incremental import (
     EpochDelta,
     PreviousPlan,
@@ -138,12 +138,9 @@ class AssignmentEngine:
         eta: grid cell side (see :func:`repro.index.cost_model.optimal_eta`).
         validity: pair-validity policy shared by index and problem builds.
         rng: seed/generator forwarded to the solver for reproducibility.
-        backend: ``"python"`` or ``"numpy"`` — how dirty cell pairs are
-            probed (and, without the index, how retrieval runs).
-        use_index: with the grid index (default) retrieval goes through
-            the persistent per-cell-pair cache; without it, the numpy
-            backend broadcasts over the slot slabs (dead slots masked) and
-            the python backend is the brute-force reference scan.
+        backend: ``"python"`` or ``"numpy"`` — how the grid index probes
+            dirty cell pairs, and whether a warm GREEDY repair reads its
+            Eq. 8 weights off the worker slab.
         reanchor_on_epoch: when true, every epoch first re-anchors each
             live worker to depart *now* from its current location (the
             platform's semantics — an idle worker starts moving when
@@ -192,7 +189,6 @@ class AssignmentEngine:
         validity: Optional[ValidityRule] = None,
         rng: RngLike = None,
         backend: str = "python",
-        use_index: bool = True,
         reanchor_on_epoch: bool = False,
         solve_mode: str = "full",
         warm_churn_threshold: float = 0.25,
@@ -209,14 +205,12 @@ class AssignmentEngine:
         self.solver = solver if solver is not None else SamplingSolver(num_samples=40)
         self.validity = validity if validity is not None else ValidityRule()
         self.backend = backend
-        self.use_index = use_index
         self.reanchor_on_epoch = reanchor_on_epoch
         self.solve_mode = solve_mode
         self.warm_churn_threshold = warm_churn_threshold
         self.rng = rng
         self.grid = RdbscGrid(eta, self.validity, backend=backend)
         self.worker_slots = WorkerSlots()
-        self.task_slots = TaskSlots()
         self.metrics = EngineMetrics()
         #: Per-epoch phase timer (see :mod:`repro.engine.profile`): the
         #: engine's own call sites time into it directly, solver scoring
@@ -274,7 +268,6 @@ class AssignmentEngine:
             "solver": type(self.solver).__name__,
             "eta": self.grid.eta,
             "backend": self.backend,
-            "use_index": self.use_index,
             "allow_waiting": self.validity.allow_waiting,
             "reanchor_on_epoch": self.reanchor_on_epoch,
             "solve_mode": self.solve_mode,
@@ -374,7 +367,7 @@ class AssignmentEngine:
     # ------------------------------------------------------------------ #
     # Index maintenance hooks
     # ------------------------------------------------------------------ #
-    # The churn methods keep the object dicts, the slot slabs and the
+    # The churn methods keep the object dicts, the worker slab and the
     # spatial index in lock-step; all index traffic funnels through these
     # five hooks so the sharded engine (:mod:`repro.engine.elastic`) can
     # reroute it to per-shard sub-grids without re-implementing any
@@ -402,7 +395,7 @@ class AssignmentEngine:
             self.grid.update_workers(workers)
 
     # ------------------------------------------------------------------ #
-    # Churn (each method keeps dicts + grid + slabs in lock-step)
+    # Churn (each method keeps dicts + grid + worker slab in lock-step)
     # ------------------------------------------------------------------ #
 
     def add_task(self, task: SpatialTask) -> None:
@@ -422,7 +415,6 @@ class AssignmentEngine:
                 if task.task_id in self._tasks:
                     raise ValueError(f"task {task.task_id} already registered")
                 self._tasks[task.task_id] = task
-                self.task_slots.add(task)
                 self._delta.tasks_arrived.add(task.task_id)
                 self.metrics.count_event("task_arrive")
                 fresh.append(task)
@@ -438,7 +430,6 @@ class AssignmentEngine:
         """Remove a task (completed/cancelled); frees its workers."""
         task = self._tasks.pop(task_id)
         self._index_remove_task(task_id)
-        self.task_slots.remove(task_id)
         for worker_id in list(self._assignment.workers_for(task_id)):
             self._assignment.unassign(worker_id)
         self._delta.tasks_removed.add(task_id)
@@ -697,25 +688,11 @@ class AssignmentEngine:
     def current_pairs(self) -> List[ValidPair]:
         """The live valid-pair set, retrieved incrementally.
 
-        Index mode serves unchanged (worker cell, task cell) entries from
-        the grid's persistent cache and re-probes only dirty ones; the
-        no-index numpy mode broadcasts over the slot slabs with dead slots
-        masked; the no-index python mode is the reference scan.
+        The grid serves unchanged (worker cell, task cell) entries from
+        its persistent cache and re-probes only dirty ones.
         """
         with self.profiler.phase("index"):
-            if self.use_index:
-                return self.grid.valid_pairs()
-            if self.backend == "numpy":
-                from repro.fastpath.kernels import slots_valid_pairs
-
-                return slots_valid_pairs(
-                    self.task_slots, self.worker_slots, self.validity
-                )
-            from repro.index.grid import retrieve_pairs_without_index
-
-            return retrieve_pairs_without_index(
-                list(self._tasks.values()), list(self._workers.values()), self.validity
-            )
+            return self.grid.valid_pairs()
 
     def current_problem(self) -> RdbscProblem:
         """The current sub-instance (no pinning, no filtering)."""
@@ -724,7 +701,6 @@ class AssignmentEngine:
             list(self._workers.values()),
             self.validity,
             precomputed_pairs=self.current_pairs(),
-            backend=self.backend,
         )
 
     def build_problem(
@@ -768,7 +744,6 @@ class AssignmentEngine:
             workers,
             self.validity,
             precomputed_pairs=pairs,
-            backend=self.backend,
         )
         return problem, virtual_ids
 

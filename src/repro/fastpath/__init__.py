@@ -6,12 +6,14 @@ broadcast equivalents over packed arrays:
 
 ``arrays``
     :class:`WorkerArrays` / :class:`TaskArrays` — structure-of-arrays
-    views of the object model.
+    views of the object model — and :class:`WorkerSlots`, the engine's
+    slot-stable worker slab.
 ``kernels``
     :func:`batch_effective_arrival` (the full validity matrix),
     :func:`batch_valid_pairs` (bit-identical ``ValidPair`` retrieval),
     :func:`batch_delta_min_r` and :func:`lemma43_prune_order` (greedy
-    scoring and Section 4.3 pruning).
+    scoring and Section 4.3 pruning), and :func:`slots_log_weights`
+    (warm GREEDY's Eq. 8 weights, read off the worker slab).
 ``candidates``
     :class:`CandidateTable` — the numpy GREEDY round loop's resident
     candidate rows, packed once per solve and edited per commit — and
@@ -28,12 +30,12 @@ Consumers select the fast path through ``backend="numpy"`` flags on
 :class:`repro.index.grid.RdbscGrid`,
 :class:`repro.algorithms.greedy.GreedySolver`,
 :class:`repro.algorithms.sampling.SamplingSolver` and
-:class:`repro.dynamic.CrowdsourcingSession`; the differential suite in
+:class:`repro.engine.AssignmentEngine`; the differential suite in
 ``tests/test_fastpath_equivalence.py`` pins both backends to identical
 results.
 """
 
-from repro.fastpath.arrays import TaskArrays, TaskSlots, WorkerArrays, WorkerSlots
+from repro.fastpath.arrays import TaskArrays, WorkerArrays, WorkerSlots
 from repro.fastpath.candidates import CandidateTable
 from repro.fastpath.diversity import (
     DiversitySlab,
@@ -50,14 +52,12 @@ from repro.fastpath.kernels import (
     batch_valid_pairs,
     lemma43_prune_order,
     slots_log_weights,
-    slots_valid_pairs,
 )
 
 __all__ = [
     "CandidateTable",
     "DiversitySlab",
     "TaskArrays",
-    "TaskSlots",
     "WorkerArrays",
     "WorkerSlots",
     "batch_any_valid",
@@ -71,5 +71,4 @@ __all__ = [
     "batch_valid_pairs",
     "lemma43_prune_order",
     "slots_log_weights",
-    "slots_valid_pairs",
 ]

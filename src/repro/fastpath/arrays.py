@@ -12,12 +12,12 @@ Two packing disciplines coexist:
 * :class:`WorkerArrays` / :class:`TaskArrays` — immutable snapshots packed
   from a sequence in one pass (the per-epoch re-pack an offline solver
   uses).
-* :class:`WorkerSlots` / :class:`TaskSlots` — mutable slabs with *stable
-  slot allocation*: each entity occupies one row for its whole lifetime,
+* :class:`WorkerSlots` — a mutable worker slab with *stable slot
+  allocation*: each worker occupies one row for its whole lifetime, and
   churn events write single rows in place (free-list reuse, per-slot
-  generation counters), and kernels mask out dead slots.  The incremental
-  engine (:mod:`repro.engine`) keeps these current per event instead of
-  re-packing per epoch.
+  generation counters).  The incremental engine (:mod:`repro.engine`)
+  keeps it current per event; a warm GREEDY repair reads its Eq. 8
+  weights (:func:`repro.fastpath.kernels.slots_log_weights`).
 
 Derived per-worker quantities that involve transcendental functions — the
 Eq. 8 log-confidence weights — are copied from the objects' own scalar
@@ -157,140 +157,23 @@ class TaskArrays:
 
 
 # --------------------------------------------------------------------- #
-# Stable slot slabs (incremental engine)
+# Stable slot slab (incremental engine)
 # --------------------------------------------------------------------- #
 
 
-class _SlotStore:
-    """Mutable structure-of-arrays slab with stable slot allocation.
+class WorkerSlots:
+    """Mutable worker slab with stable slot allocation.
 
-    Rows are allocated from a LIFO free list and stay put for an entity's
-    whole lifetime, so a churn event touches exactly one row.  ``alive``
-    masks dead rows out of kernel results; ``generations[slot]`` increments
-    on every write to that slot (add, update, remove), and ``version``
-    counts mutations globally so callers can cache derived snapshots and
-    invalidate them in O(1).
+    Columns mirror :class:`WorkerArrays`.  Rows are allocated from a LIFO
+    free list and stay put for a worker's whole lifetime, so a churn event
+    touches exactly one row.  ``alive`` marks occupied rows;
+    ``generations[slot]`` increments on every write to that slot (add,
+    update, remove), and ``version`` counts mutations globally so callers
+    can cache derived snapshots and invalidate them in O(1).
     """
 
-    #: float64 column names beyond ``ids``; subclasses fill these.
-    _float_columns: Tuple[str, ...] = ()
-
-    def __init__(self, capacity: int = 8) -> None:
-        capacity = max(int(capacity), 1)
-        self.ids = np.zeros(capacity, dtype=np.int64)
-        for name in self._float_columns:
-            setattr(self, name, np.zeros(capacity))
-        self.alive = np.zeros(capacity, dtype=bool)
-        self.generations = np.zeros(capacity, dtype=np.int64)
-        self.version = 0
-        self.slot_of: Dict[int, int] = {}
-        self._objects: Dict[int, object] = {}
-        self._free: List[int] = list(range(capacity - 1, -1, -1))
-
-    # -- storage management -------------------------------------------- #
-
-    @property
-    def capacity(self) -> int:
-        return int(self.ids.shape[0])
-
-    def __len__(self) -> int:
-        return len(self.slot_of)
-
-    def __contains__(self, entity_id: int) -> bool:
-        return entity_id in self.slot_of
-
-    def _grow(self) -> None:
-        old = self.capacity
-        new = old * 2
-        for name in ("ids", "generations") + self._float_columns:
-            column = getattr(self, name)
-            grown = np.zeros(new, dtype=column.dtype)
-            grown[:old] = column
-            setattr(self, name, grown)
-        alive = np.zeros(new, dtype=bool)
-        alive[:old] = self.alive
-        self.alive = alive
-        self._free.extend(range(new - 1, old - 1, -1))
-
-    def _alloc(self) -> int:
-        if not self._free:
-            self._grow()
-        return self._free.pop()
-
-    # -- churn ---------------------------------------------------------- #
-
-    def add(self, obj) -> int:
-        """Place a new entity; returns its slot.
-
-        Raises:
-            ValueError: if the id is already stored.
-        """
-        key = self._key(obj)
-        if key in self.slot_of:
-            raise ValueError(f"id {key} already stored")
-        slot = self._alloc()
-        self._write_row(slot, obj)
-        self.ids[slot] = key
-        self.alive[slot] = True
-        self.generations[slot] += 1
-        self.version += 1
-        self.slot_of[key] = slot
-        self._objects[key] = obj
-        return slot
-
-    def update(self, obj) -> int:
-        """Overwrite an entity's row in place; returns its slot.
-
-        Raises:
-            KeyError: if the id is not stored.
-        """
-        key = self._key(obj)
-        slot = self.slot_of[key]
-        self._write_row(slot, obj)
-        self.generations[slot] += 1
-        self.version += 1
-        self._objects[key] = obj
-        return slot
-
-    def remove(self, entity_id: int):
-        """Free an entity's slot; returns the stored object.
-
-        The row's payload is left in place (kernels mask it out via
-        ``alive``); the slot goes back on the free list for reuse.
-        """
-        slot = self.slot_of.pop(entity_id)
-        obj = self._objects.pop(entity_id)
-        self.alive[slot] = False
-        self.generations[slot] += 1
-        self.version += 1
-        self._free.append(slot)
-        return obj
-
-    def get(self, entity_id: int):
-        """The stored object for an id (KeyError if absent)."""
-        return self._objects[entity_id]
-
-    def object_at(self, slot: int):
-        """The live object occupying ``slot`` (KeyError if dead)."""
-        return self._objects[int(self.ids[slot])]
-
-    def live_slots(self) -> np.ndarray:
-        """Slots currently alive, in ascending slot order."""
-        return np.flatnonzero(self.alive)
-
-    # -- subclass hooks ------------------------------------------------- #
-
-    def _key(self, obj) -> int:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _write_row(self, slot: int, obj) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-
-class WorkerSlots(_SlotStore):
-    """Slot-stable worker slab; columns mirror :class:`WorkerArrays`."""
-
-    _float_columns = (
+    #: float64 column names beyond ``ids``.
+    _float_columns: Tuple[str, ...] = (
         "xs",
         "ys",
         "velocities",
@@ -301,8 +184,38 @@ class WorkerSlots(_SlotStore):
         "log_weights",
     )
 
-    def _key(self, worker: MovingWorker) -> int:
-        return worker.worker_id
+    def __init__(self, capacity: int = 8) -> None:
+        capacity = max(int(capacity), 1)
+        self.ids = np.zeros(capacity, dtype=np.int64)
+        for name in self._float_columns:
+            setattr(self, name, np.zeros(capacity))
+        self.alive = np.zeros(capacity, dtype=bool)
+        self.generations = np.zeros(capacity, dtype=np.int64)
+        self.version = 0
+        self.slot_of: Dict[int, int] = {}
+        self._objects: Dict[int, MovingWorker] = {}
+        self._free: List[int] = list(range(capacity - 1, -1, -1))
+
+    # -- storage management -------------------------------------------- #
+
+    @property
+    def capacity(self) -> int:
+        return int(self.ids.shape[0])
+
+    def _grow(self) -> None:
+        old = self.capacity
+        new = old * 2
+        for name in ("ids", "generations", "alive") + self._float_columns:
+            column = getattr(self, name)
+            grown = np.zeros(new, dtype=column.dtype)
+            grown[:old] = column
+            setattr(self, name, grown)
+        self._free.extend(range(new - 1, old - 1, -1))
+
+    def _alloc(self) -> int:
+        if not self._free:
+            self._grow()
+        return self._free.pop()
 
     def _write_row(self, slot: int, worker: MovingWorker) -> None:
         self.xs[slot] = worker.location.x
@@ -314,24 +227,58 @@ class WorkerSlots(_SlotStore):
         self.depart_times[slot] = worker.depart_time
         self.log_weights[slot] = worker.log_confidence_weight
 
-    def full_view(self) -> WorkerArrays:
-        """A zero-copy :class:`WorkerArrays` over the whole slab.
+    # -- churn ---------------------------------------------------------- #
 
-        Length equals the slab capacity; dead rows carry stale payloads and
-        must be masked with :attr:`alive` (the slot-aware kernels do).
+    def add(self, worker: MovingWorker) -> int:
+        """Place a new worker; returns its slot.
+
+        Raises:
+            ValueError: if the id is already stored.
         """
-        return WorkerArrays(
-            ids=self.ids,
-            xs=self.xs,
-            ys=self.ys,
-            velocities=self.velocities,
-            cone_los=self.cone_los,
-            cone_widths=self.cone_widths,
-            confidences=self.confidences,
-            depart_times=self.depart_times,
-            log_weights=self.log_weights,
-            index_of=self.slot_of,
-        )
+        key = worker.worker_id
+        if key in self.slot_of:
+            raise ValueError(f"id {key} already stored")
+        slot = self._alloc()
+        self._write_row(slot, worker)
+        self.ids[slot] = key
+        self.alive[slot] = True
+        self.generations[slot] += 1
+        self.version += 1
+        self.slot_of[key] = slot
+        self._objects[key] = worker
+        return slot
+
+    def update(self, worker: MovingWorker) -> int:
+        """Overwrite a worker's row in place; returns its slot.
+
+        Raises:
+            KeyError: if the id is not stored.
+        """
+        key = worker.worker_id
+        slot = self.slot_of[key]
+        self._write_row(slot, worker)
+        self.generations[slot] += 1
+        self.version += 1
+        self._objects[key] = worker
+        return slot
+
+    def remove(self, worker_id: int) -> MovingWorker:
+        """Free a worker's slot; returns the stored object.
+
+        The row's payload is left in place (``alive`` marks it dead); the
+        slot goes back on the free list for reuse.
+        """
+        slot = self.slot_of.pop(worker_id)
+        worker = self._objects.pop(worker_id)
+        self.alive[slot] = False
+        self.generations[slot] += 1
+        self.version += 1
+        self._free.append(slot)
+        return worker
+
+    def live_slots(self) -> np.ndarray:
+        """Slots currently alive, in ascending slot order."""
+        return np.flatnonzero(self.alive)
 
     def compact(self) -> Tuple[List[MovingWorker], WorkerArrays]:
         """Live workers (slot order) plus an exact-size packed snapshot.
@@ -356,51 +303,6 @@ class WorkerSlots(_SlotStore):
         )
         workers = [self._objects[int(w)] for w in ids]
         return workers, arrays
-
-
-class TaskSlots(_SlotStore):
-    """Slot-stable task slab; columns mirror :class:`TaskArrays`."""
-
-    _float_columns = ("xs", "ys", "starts", "ends", "betas")
-
-    def _key(self, task: SpatialTask) -> int:
-        return task.task_id
-
-    def _write_row(self, slot: int, task: SpatialTask) -> None:
-        self.xs[slot] = task.location.x
-        self.ys[slot] = task.location.y
-        self.starts[slot] = task.start
-        self.ends[slot] = task.end
-        self.betas[slot] = task.beta
-
-    def full_view(self) -> TaskArrays:
-        """A zero-copy :class:`TaskArrays` over the whole slab (see
-        :meth:`WorkerSlots.full_view` for the masking contract)."""
-        return TaskArrays(
-            ids=self.ids,
-            xs=self.xs,
-            ys=self.ys,
-            starts=self.starts,
-            ends=self.ends,
-            betas=self.betas,
-            index_of=self.slot_of,
-        )
-
-    def compact(self) -> Tuple[List[SpatialTask], TaskArrays]:
-        """Live tasks (slot order) plus an exact-size packed snapshot."""
-        rows = self.live_slots()
-        ids = self.ids[rows].copy()
-        arrays = TaskArrays(
-            ids=ids,
-            xs=self.xs[rows].copy(),
-            ys=self.ys[rows].copy(),
-            starts=self.starts[rows].copy(),
-            ends=self.ends[rows].copy(),
-            betas=self.betas[rows].copy(),
-            index_of={int(t): i for i, t in enumerate(ids)},
-        )
-        tasks = [self._objects[int(t)] for t in ids]
-        return tasks, arrays
 
 
 # --------------------------------------------------------------------- #

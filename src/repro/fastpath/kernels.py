@@ -63,7 +63,6 @@ def _validity_mask(
     workers: WorkerArrays,
     allow_waiting: bool,
     slack: float,
-    alive: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(valid, arrival)`` matrices of the Definition 2/4 checks.
 
@@ -71,11 +70,6 @@ def _validity_mask(
     positive ``slack`` widens every boundary comparison (valid-period
     edges absolutely and relatively, cone edges by ``slack`` radians) so
     the mask becomes a guaranteed superset of the scalar rule's verdicts.
-
-    ``alive`` — an optional ``(task_mask, worker_mask)`` boolean pair —
-    supports slot-slab inputs (:class:`repro.fastpath.arrays.TaskSlots` /
-    ``WorkerSlots``): dead rows/columns are forced invalid before the
-    expensive cone check runs, so their stale payloads never surface.
     """
     dx = tasks.xs[:, None] - workers.xs[None, :]
     dy = tasks.ys[:, None] - workers.ys[None, :]
@@ -89,10 +83,6 @@ def _validity_mask(
     arrival = workers.depart_times[None, :] + travel
 
     valid = np.isfinite(arrival)
-    if alive is not None:
-        task_alive, worker_alive = alive
-        valid &= task_alive[:, None]
-        valid &= worker_alive[None, :]
     if allow_waiting:
         arrival = np.maximum(arrival, tasks.starts[:, None])
     starts = tasks.starts[:, None]
@@ -232,42 +222,6 @@ def batch_valid_pairs(
         worker_ids = worker_arrays.ids[cols]
         for t, w, a in zip(task_ids.tolist(), worker_ids.tolist(), arrivals.tolist()):
             pairs.append(ValidPair(t, w, a))
-    return pairs
-
-
-def slots_valid_pairs(
-    task_slots,
-    worker_slots,
-    validity: Optional[ValidityRule] = None,
-) -> List[ValidPair]:
-    """Valid-pair retrieval straight off slot slabs, masking dead slots.
-
-    The incremental engine's no-index fast path: the slabs are already
-    packed (updated in place per churn event by
-    :class:`repro.fastpath.arrays.TaskSlots` / ``WorkerSlots``), so no
-    per-epoch re-pack happens — the kernel broadcasts over the full slabs
-    with dead rows/columns forced invalid, then confirms the surviving
-    candidates through the scalar rule.  The pair set is bit-identical to
-    a brute-force scan over the live entities.
-    """
-    rule = validity if validity is not None else ValidityRule()
-    if not len(task_slots) or not len(worker_slots):
-        return []
-    valid, _ = _validity_mask(
-        task_slots.full_view(),
-        worker_slots.full_view(),
-        rule.allow_waiting,
-        slack=FILTER_SLACK,
-        alive=(task_slots.alive, worker_slots.alive),
-    )
-    rows, cols = np.nonzero(valid)
-    pairs: List[ValidPair] = []
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        task = task_slots.object_at(i)
-        worker = worker_slots.object_at(j)
-        exact = rule.effective_arrival(worker, task)
-        if exact is not None:
-            pairs.append(ValidPair(task.task_id, worker.worker_id, exact))
     return pairs
 
 

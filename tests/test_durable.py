@@ -14,7 +14,6 @@ import pytest
 from repro.algorithms.greedy import GreedySolver
 from repro.algorithms.sampling import SamplingSolver, substream_base_seed
 from repro.core.diversity import WorkerProfile
-from repro.dynamic import CrowdsourcingSession
 from repro.engine import (
     AssignmentEngine,
     ElasticShardedAssignmentEngine,
@@ -358,6 +357,50 @@ class TestKillAndRecover:
         )
         recovered.close()
 
+    def test_no_index_era_log_restores_onto_the_indexed_engine(self, tmp_path):
+        # Logs from before the grid index became the only retrieval path
+        # record ``use_index`` in the meta row.  The no-index scan returned
+        # the same pair set, so a log claiming it must restore onto the
+        # indexed engine and continue bit-identically, epoch for epoch.
+        def make_engine(path):
+            return AssignmentEngine(
+                solver=GreedySolver(),
+                rng=9,
+                durable_path=path,
+                durable_snapshot_every=2,
+            )
+
+        def run(engine, churn, start, stop):
+            trace = []
+            for k in range(start, stop):
+                churn.step(engine, k)
+                result = engine.epoch(float(k))
+                trace.append(
+                    (sorted(result.dispatch.items()), engine.metrics.counters())
+                )
+            return trace
+
+        reference = make_engine(None)
+        seed_population(reference)
+        expected = run(reference, ScriptedChurn(), 0, self.EPOCHS)
+        reference.close()
+
+        path = tmp_path / "no-index-era.db"
+        engine = make_engine(path)
+        assert "use_index" not in engine.durable.meta()
+        seed_population(engine)
+        churn = ScriptedChurn()
+        trace = run(engine, churn, 0, self.KILL_AFTER)
+        del engine  # crash: no close(), no flush beyond the WAL
+        with DurableLog(path) as log:
+            log.set_meta({"use_index": False})
+
+        recovered = restore_engine(path, solver=GreedySolver())
+        assert type(recovered) is AssignmentEngine
+        trace += run(recovered, churn, self.KILL_AFTER, self.EPOCHS)
+        assert trace == expected
+        recovered.close()
+
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_sampling_stream_position_survives_recovery(self, backend, tmp_path):
         # SAMPLING with a persistent Generator: every solve consumes one
@@ -404,20 +447,18 @@ class TestKillAndRecover:
         assert plans == drive(reference, ScriptedChurn(), 6)
         twice.close()
 
-    def test_session_facade_restore(self, tmp_path):
+    def test_restore_keeps_the_live_assignment(self, tmp_path):
         path = tmp_path / "session.db"
-        session = CrowdsourcingSession(
-            solver=GreedySolver(), rng=3, durable_path=path
-        )
-        session.add_task(make_task(0, end=9.0))
-        session.add_worker(make_worker(0, x=0.4, y=0.5))
-        first = session.reassign(0.0)
-        del session
-        recovered = CrowdsourcingSession.restore(path, solver=GreedySolver())
-        assert sorted(recovered.engine.assignment.pairs()) == sorted(
+        engine = AssignmentEngine(solver=GreedySolver(), rng=3, durable_path=path)
+        engine.add_task(make_task(0, end=9.0))
+        engine.add_worker(make_worker(0, x=0.4, y=0.5))
+        first = engine.epoch(0.0)
+        del engine
+        recovered = restore_engine(path, solver=GreedySolver())
+        assert sorted(recovered.assignment.pairs()) == sorted(
             first.assignment.pairs()
         )
-        again = recovered.reassign(1.0)
+        again = recovered.epoch(1.0)
         assert again.num_tasks == 1
         recovered.close()
 

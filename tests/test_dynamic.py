@@ -1,10 +1,10 @@
-"""Tests for the online CrowdsourcingSession facade."""
+"""Section 7.2 churn + periodic re-assignment through the engine front door."""
 
 import pytest
 
 from repro.algorithms import GreedySolver, SamplingSolver
 from repro.datagen import ExperimentConfig, generate_tasks, generate_workers
-from repro.dynamic import CrowdsourcingSession
+from repro.engine import AssignmentEngine
 from tests.conftest import make_task, make_worker
 
 
@@ -18,70 +18,71 @@ def seeded_population(seed=3, m=15, n=25):
 
 class TestChurn:
     def test_add_remove_task(self):
-        session = CrowdsourcingSession()
+        engine = AssignmentEngine()
         task = make_task(0)
-        session.add_task(task)
-        assert session.num_tasks == 1
-        assert session.remove_task(0) == task
-        assert session.num_tasks == 0
+        engine.add_task(task)
+        assert engine.num_tasks == 1
+        assert engine.withdraw_task(0) == task
+        assert engine.num_tasks == 0
 
     def test_duplicate_ids_rejected(self):
-        session = CrowdsourcingSession()
-        session.add_task(make_task(0))
+        engine = AssignmentEngine()
+        engine.add_task(make_task(0))
         with pytest.raises(ValueError):
-            session.add_task(make_task(0))
-        session.add_worker(make_worker(0))
+            engine.add_task(make_task(0))
+        engine.add_worker(make_worker(0))
         with pytest.raises(ValueError):
-            session.add_worker(make_worker(0))
+            engine.add_worker(make_worker(0))
 
     def test_expire_tasks(self):
-        session = CrowdsourcingSession()
-        session.add_task(make_task(0, start=0.0, end=1.0))
-        session.add_task(make_task(1, start=0.0, end=5.0))
-        expired = session.expire_tasks(now=2.0)
+        engine = AssignmentEngine()
+        engine.add_task(make_task(0, start=0.0, end=1.0))
+        engine.add_task(make_task(1, start=0.0, end=5.0))
+        expired = engine.expire_tasks(now=2.0)
         assert expired == [0]
-        assert session.num_tasks == 1
-        assert session.stats.tasks_expired == 1
+        assert engine.num_tasks == 1
+        assert engine.metrics.events["task_expire"] == 1
 
     def test_remove_task_frees_workers(self):
-        session = CrowdsourcingSession(solver=GreedySolver())
-        session.add_task(make_task(0, x=0.5, y=0.5))
-        session.add_worker(make_worker(0, x=0.4, y=0.5, velocity=0.5))
-        session.reassign(now=0.0)
-        assert session.assignment_of(0) == 0
-        session.remove_task(0)
-        assert session.assignment_of(0) is None
+        engine = AssignmentEngine(solver=GreedySolver())
+        engine.add_task(make_task(0, x=0.5, y=0.5))
+        engine.add_worker(make_worker(0, x=0.4, y=0.5, velocity=0.5))
+        engine.epoch(now=0.0)
+        assert engine.assignment_of(0) == 0
+        engine.withdraw_task(0)
+        assert engine.assignment_of(0) is None
 
     def test_remove_worker_clears_assignment(self):
-        session = CrowdsourcingSession(solver=GreedySolver())
-        session.add_task(make_task(0, x=0.5, y=0.5))
-        session.add_worker(make_worker(0, x=0.4, y=0.5, velocity=0.5))
-        session.reassign(now=0.0)
-        session.remove_worker(0)
-        assert session.workers_on(0) == frozenset()
+        engine = AssignmentEngine(solver=GreedySolver())
+        engine.add_task(make_task(0, x=0.5, y=0.5))
+        engine.add_worker(make_worker(0, x=0.4, y=0.5, velocity=0.5))
+        engine.epoch(now=0.0)
+        engine.remove_worker(0)
+        assert engine.workers_on(0) == frozenset()
 
     def test_update_worker_relocates(self):
-        session = CrowdsourcingSession()
+        engine = AssignmentEngine()
         worker = make_worker(0, x=0.1, y=0.1)
-        session.add_worker(worker)
+        engine.add_worker(worker)
         moved = worker.moved_to(worker.location.translated(0.5, 0.5), 1.0)
-        session.update_worker(moved)
-        assert session.num_workers == 1
-        assert session.stats.workers_added == 1  # net counters unchanged
+        engine.update_worker(moved)
+        assert engine.num_workers == 1
+        # An update is counted as such, not as a second arrival.
+        assert engine.metrics.events == {"worker_arrive": 1, "worker_update": 1}
 
 
 class TestReassignment:
     def test_reassign_produces_feasible_assignment(self):
         tasks, workers = seeded_population()
-        session = CrowdsourcingSession(solver=SamplingSolver(num_samples=20), rng=5)
+        engine = AssignmentEngine(solver=SamplingSolver(num_samples=20), rng=5)
         for task in tasks:
-            session.add_task(task)
+            engine.add_task(task)
         for worker in workers:
-            session.add_worker(worker)
-        outcome = session.reassign(now=0.0)
+            engine.add_worker(worker)
+        outcome = engine.epoch(now=0.0)
         assert outcome.num_tasks == len(tasks)
         assert outcome.num_workers == len(workers)
-        problem = session.current_problem()
+        problem = engine.current_problem()
         for task_id, worker_id in outcome.assignment.pairs():
             assert problem.is_valid_pair(task_id, worker_id)
 
@@ -89,51 +90,51 @@ class TestReassignment:
         from repro.core.problem import RdbscProblem
 
         tasks, workers = seeded_population(7)
-        session = CrowdsourcingSession()
+        engine = AssignmentEngine()
         for task in tasks:
-            session.add_task(task)
+            engine.add_task(task)
         for worker in workers:
-            session.add_worker(worker)
-        via_session = session.current_problem()
-        direct = RdbscProblem(tasks, workers, session.validity)
-        assert via_session.num_pairs == direct.num_pairs
+            engine.add_worker(worker)
+        via_engine = engine.current_problem()
+        direct = RdbscProblem(tasks, workers, engine.validity)
+        assert via_engine.num_pairs == direct.num_pairs
 
     def test_reassign_after_churn(self):
         tasks, workers = seeded_population(9)
-        session = CrowdsourcingSession(solver=GreedySolver(), rng=1)
+        engine = AssignmentEngine(solver=GreedySolver(), rng=1)
         for task in tasks[:10]:
-            session.add_task(task)
+            engine.add_task(task)
         for worker in workers:
-            session.add_worker(worker)
-        first = session.reassign(now=0.0)
+            engine.add_worker(worker)
+        engine.epoch(now=0.0)
         # Tasks complete, new ones arrive, a worker leaves.
-        session.remove_task(tasks[0].task_id)
-        session.add_task(tasks[10])
-        session.remove_worker(workers[0].worker_id)
-        second = session.reassign(now=0.0)
-        assert session.stats.reassignments == 2
+        engine.withdraw_task(tasks[0].task_id)
+        engine.add_task(tasks[10])
+        engine.remove_worker(workers[0].worker_id)
+        second = engine.epoch(now=0.0)
+        assert engine.metrics.epochs == 2
         assert second.num_workers == len(workers) - 1
 
     def test_evaluate_current_drops_stale_pairs(self):
-        session = CrowdsourcingSession(solver=GreedySolver())
-        session.add_task(make_task(0, x=0.5, y=0.5, start=0.0, end=10.0))
-        session.add_worker(make_worker(0, x=0.4, y=0.5, velocity=0.5, confidence=0.9))
-        session.reassign(now=0.0)
-        value_before = session.evaluate_current()
+        engine = AssignmentEngine(solver=GreedySolver())
+        engine.add_task(make_task(0, x=0.5, y=0.5, start=0.0, end=10.0))
+        engine.add_worker(make_worker(0, x=0.4, y=0.5, velocity=0.5, confidence=0.9))
+        engine.epoch(now=0.0)
+        value_before = engine.evaluate_current()
         assert value_before.min_reliability == pytest.approx(0.9)
-        # The assigned task expires; evaluation must not crash and must
-        # report the empty objective.
-        session._tasks.pop(0)
-        session.grid.remove_task(0)
-        value_after = session.evaluate_current()
+        # The assigned task vanishes behind the engine's back; evaluation
+        # must not crash and must report the empty objective.
+        engine.tasks.pop(0)
+        engine.grid.remove_task(0)
+        value_after = engine.evaluate_current()
         assert value_after.min_reliability == 0.0
 
     def test_stats_counters(self):
-        session = CrowdsourcingSession()
-        session.add_task(make_task(0))
-        session.add_worker(make_worker(0, x=0.45, y=0.5))
-        session.reassign(now=0.0)
-        assert session.stats.tasks_added == 1
-        assert session.stats.workers_added == 1
-        assert session.stats.reassignments == 1
-        assert session.stats.pairs_retrieved >= 0
+        engine = AssignmentEngine()
+        engine.add_task(make_task(0))
+        engine.add_worker(make_worker(0, x=0.45, y=0.5))
+        result = engine.epoch(now=0.0)
+        counters = engine.metrics.counters()
+        assert counters["events"] == {"task_arrive": 1, "worker_arrive": 1}
+        assert counters["epochs"] == 1
+        assert counters["pairs_retrieved"] == result.num_pairs

@@ -1,6 +1,6 @@
 """Unit tests for the incremental assignment engine (events, scheduler,
 epochs, metrics) and the expiry-boundary contract it shares with the
-session, the grid and the platform simulator."""
+grid and the platform simulator."""
 
 import math
 
@@ -357,27 +357,10 @@ class TestEpoch:
         # The snapshot is detached from further churn.
         assert snap.num_tasks == 1
 
-    def test_no_index_backends_agree(self):
-        tasks = [make_task(i, x=0.3 + 0.1 * i, y=0.5) for i in range(4)]
-        workers = [make_worker(j, x=0.2 + 0.15 * j, y=0.45, velocity=0.4) for j in range(5)]
-        pair_sets = []
-        for backend in ("python", "numpy"):
-            engine = AssignmentEngine(
-                solver=GreedySolver(), backend=backend, use_index=False
-            )
-            for task in tasks:
-                engine.add_task(task)
-            for worker in workers:
-                engine.add_worker(worker)
-            pair_sets.append(sorted(
-                (p.task_id, p.worker_id, p.arrival) for p in engine.current_pairs()
-            ))
-        assert pair_sets[0] == pair_sets[1]
-
 
 class TestExpiryBoundary:
     """A task expiring exactly at ``now`` is *not* yet expired — the
-    deadline is inclusive everywhere (validity, session, engine, grid
+    deadline is inclusive everywhere (validity, engine, grid
     pruning, simulator), pinned here."""
 
     def test_task_predicate(self):
@@ -403,13 +386,11 @@ class TestExpiryBoundary:
         result = engine.epoch(5.0)
         assert result.dispatch == {0: 0}
 
-    def test_session_matches_engine(self):
-        from repro.dynamic import CrowdsourcingSession
-
-        session = CrowdsourcingSession(solver=GreedySolver())
-        session.add_task(make_task(0, start=0.0, end=5.0))
-        assert session.expire_tasks(5.0) == []
-        assert session.expire_tasks(5.0 + 1e-12) == [0]
+    def test_engine_expires_just_past_deadline(self):
+        engine = AssignmentEngine(solver=GreedySolver())
+        engine.add_task(make_task(0, start=0.0, end=5.0))
+        assert engine.expire_tasks(5.0) == []
+        assert engine.expire_tasks(5.0 + 1e-12) == [0]
 
     def test_simulator_record_matches(self):
         record = TaskRecord(make_task(0, start=0.0, end=5.0))

@@ -7,8 +7,8 @@ are compared bit-for-bit against freshly built ground truth:
 * the grid's incrementally cached pair set vs a from-scratch
   ``RdbscGrid.bulk_load`` retrieval vs the no-index brute-force scan
   (pairs *and* arrivals),
-* the slot-stable packed slabs vs a one-shot ``from_workers`` /
-  ``from_tasks`` pack (every column),
+* the slot-stable worker slab vs a one-shot ``from_workers`` pack
+  (every column),
 * an engine epoch vs a fresh ``RdbscProblem`` + fresh solver run with the
   same seed (assignment edges and objective values).
 
@@ -24,7 +24,7 @@ import pytest
 from repro.algorithms import GreedySolver, SamplingSolver
 from repro.core.problem import RdbscProblem
 from repro.engine import AssignmentEngine
-from repro.fastpath.arrays import TaskArrays, WorkerArrays
+from repro.fastpath.arrays import WorkerArrays
 from repro.geometry.points import Point
 from repro.index.grid import RdbscGrid, retrieve_pairs_without_index
 from tests.conftest import make_pools
@@ -37,7 +37,6 @@ WORKER_COLUMNS = (
     "ids", "xs", "ys", "velocities", "cone_los", "cone_widths",
     "confidences", "depart_times", "log_weights",
 )
-TASK_COLUMNS = ("ids", "xs", "ys", "starts", "ends", "betas")
 
 
 def pair_key(pairs):
@@ -48,11 +47,10 @@ def pair_key(pairs):
 class ChurnDriver:
     """Applies one random op stream to an engine and a mirror of dicts."""
 
-    def __init__(self, backend, seed, use_index=True):
+    def __init__(self, backend, seed):
         task_pool, worker_pool = make_pools(seed)
         self.engine = AssignmentEngine(
-            solver=GreedySolver(), backend=backend, eta=ETA,
-            rng=seed, use_index=use_index,
+            solver=GreedySolver(), backend=backend, eta=ETA, rng=seed
         )
         self.rng = np.random.default_rng(seed + 1)
         self.now = 0.0
@@ -158,11 +156,6 @@ def test_slot_arrays_match_fresh_pack(backend):
         assert np.array_equal(
             getattr(warrays, column), getattr(fresh, column), equal_nan=True
         ), column
-    tasks, tarrays = engine.task_slots.compact()
-    assert {t.task_id for t in tasks} == set(driver.tasks)
-    fresh_tasks = TaskArrays.from_tasks(tasks)
-    for column in TASK_COLUMNS:
-        assert np.array_equal(getattr(tarrays, column), getattr(fresh_tasks, column)), column
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
@@ -195,16 +188,6 @@ def test_epoch_matches_fresh_problem_solve(backend, make_solver):
             fresh_result.assignment.pairs()
         ), checkpoint
         assert outcome.objective == fresh_result.objective, checkpoint
-
-
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_no_index_retrieval_matches_after_churn(backend):
-    driver = ChurnDriver(backend, seed=41, use_index=False)
-    for _ in range(60):
-        driver.step()
-    assert pair_key(driver.engine.current_pairs()) == pair_key(
-        retrieve_pairs_without_index(driver.task_list(), driver.worker_list())
-    )
 
 
 def test_slot_reuse_and_generations():

@@ -311,19 +311,19 @@ def test_batch_draw_matches_scalar_stream(seed):
 
 
 def test_session_backend_identical():
-    from repro.dynamic import CrowdsourcingSession
+    from repro.engine import AssignmentEngine
 
     problem = generate_problem(sparse_config(), 3)
     outcomes = []
     for backend in ("python", "numpy"):
-        session = CrowdsourcingSession(
+        engine = AssignmentEngine(
             SamplingSolver(num_samples=30), eta=0.25, rng=5, backend=backend
         )
         for task in problem.tasks:
-            session.add_task(task)
+            engine.add_task(task)
         for worker in problem.workers:
-            session.add_worker(worker)
-        outcomes.append(session.reassign(now=0.0))
+            engine.add_worker(worker)
+        outcomes.append(engine.epoch(now=0.0))
     first, second = outcomes
     assert first.num_pairs == second.num_pairs
     assert sorted(first.assignment.pairs()) == sorted(second.assignment.pairs())

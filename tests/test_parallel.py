@@ -12,7 +12,7 @@ What is pinned here:
   every drawn sample (the memo only skips recomputation).
 * **Dead-pool recovery** — a SIGKILLed pinned child costs one inline
   re-score, not the epoch; the next fan-out runs on fresh processes.
-* **Engine/session wiring** — engines (plain, sharded, warm) with a
+* **Engine wiring** — engines (plain, sharded, warm) with a
   ``solve_executor`` reproduce the serial engines' epochs on a churn
   stream, and GREEDY under an executor is plain inline GREEDY that forks
   nothing; the differential classes carry the ``churn`` marker.
@@ -32,7 +32,6 @@ from repro.algorithms.random_assign import draw_random_assignment
 from repro.algorithms.sampling import SUBSTREAM_V1, substream_rng
 from repro.core.objectives import evaluate_assignment
 from repro.datagen import ExperimentConfig, generate_problem
-from repro.dynamic import CrowdsourcingSession
 from repro.engine import (
     AssignmentEngine,
     ElasticShardedAssignmentEngine,
@@ -249,7 +248,7 @@ class TestSampleChunkScorer:
 
 
 # --------------------------------------------------------------------- #
-# Engine and session wiring
+# Engine wiring
 # --------------------------------------------------------------------- #
 
 
@@ -398,17 +397,17 @@ class TestEngineWiring:
         workers = [
             make_worker(i, x=0.1 * (i + 1), y=0.45, velocity=0.2) for i in range(9)
         ]
-        plain = CrowdsourcingSession(solver=SamplingSolver(num_samples=12), rng=4)
-        fanned = CrowdsourcingSession(
+        plain = AssignmentEngine(solver=SamplingSolver(num_samples=12), rng=4)
+        fanned = AssignmentEngine(
             solver=SamplingSolver(num_samples=12), rng=4, solve_executor=2
         )
-        for session in (plain, fanned):
+        for engine in (plain, fanned):
             for task in tasks:
-                session.add_task(task)
+                engine.add_task(task)
             for worker in workers:
-                session.add_worker(worker)
-        a = plain.reassign(0.0)
-        b = fanned.reassign(0.0)
+                engine.add_worker(worker)
+        a = plain.epoch(0.0)
+        b = fanned.epoch(0.0)
         assert sorted(a.assignment.pairs()) == sorted(b.assignment.pairs())
         assert a.objective == b.objective
         fanned.close()

@@ -8,8 +8,8 @@ parked exactly on block boundaries and halo crossings — an
 executor, produces exactly the unsharded engine's valid pairs (ids *and*
 arrivals), assignments and objectives, epoch after epoch.  Alongside:
 :class:`ShardMap` partition/routing geometry, the halo invariant guard,
-the :class:`ResidentShard` report contract, and the session façade's
-sharded mode.  The rebalancing half of the invariant lives in
+the :class:`ResidentShard` report contract, and a sharded-vs-plain
+engine spot check.  The rebalancing half of the invariant lives in
 ``tests/test_elastic.py``.  The differential classes carry the ``churn``
 marker (``pytest -m churn``).
 """
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import GreedySolver, SamplingSolver
-from repro.dynamic import CrowdsourcingSession
 from repro.engine import (
     AssignmentEngine,
     ElasticShardedAssignmentEngine,
@@ -432,19 +431,18 @@ class TestShardStateAndSession:
     def test_sharded_session_matches_unsharded(self):
         tasks, workers = make_pools(23, num_tasks=20, num_workers=40)
         halo = ShardMap.halo_bound(tasks, workers)
-        plain = CrowdsourcingSession(solver=GreedySolver(), eta=ETA, rng=2)
-        sharded = CrowdsourcingSession(
+        plain = AssignmentEngine(solver=GreedySolver(), eta=ETA, rng=2)
+        sharded = ElasticShardedAssignmentEngine(
             solver=GreedySolver(), eta=ETA, rng=2, num_shards=4, halo=halo
         )
-        assert isinstance(sharded.engine, ElasticShardedAssignmentEngine)
-        assert sharded.engine.policy is None
-        for session in (plain, sharded):
+        assert sharded.policy is None
+        for engine in (plain, sharded):
             for task in tasks:
-                session.add_task(task)
+                engine.add_task(task)
             for worker in workers:
-                session.add_worker(worker)
-        a = plain.reassign(0.0)
-        b = sharded.reassign(0.0)
+                engine.add_worker(worker)
+        a = plain.epoch(0.0)
+        b = sharded.epoch(0.0)
         assert sorted(a.assignment.pairs()) == sorted(b.assignment.pairs())
         assert a.objective == b.objective
         sharded.close()

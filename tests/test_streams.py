@@ -1,4 +1,4 @@
-"""Tests for timed workload streams and their session replay."""
+"""Tests for timed workload streams and their engine replay."""
 
 import pytest
 
@@ -8,10 +8,12 @@ from repro.datagen.streams import (
     WORKER_ARRIVAL,
     WORKER_DEPARTURE,
     StreamConfig,
+    StreamEvent,
     generate_event_stream,
     replay_stream,
 )
-from repro.dynamic import CrowdsourcingSession
+from repro.engine import AssignmentEngine
+from tests.conftest import make_task
 
 
 class TestStreamConfig:
@@ -85,10 +87,11 @@ class TestReplayStream:
     def test_replay_produces_outcomes(self):
         config = StreamConfig(horizon=3.0, task_rate=5.0, initial_workers=6)
         events = generate_event_stream(config, rng=9)
-        session = CrowdsourcingSession(solver=SamplingSolver(num_samples=10), rng=9)
-        outcomes = replay_stream(session, events, reassign_every=1.0, horizon=3.0)
+        engine = AssignmentEngine(solver=SamplingSolver(num_samples=10), rng=9)
+        outcomes = replay_stream(engine, events, reassign_every=1.0, horizon=3.0)
         assert len(outcomes) == 4  # t = 0, 1, 2, 3
-        assert session.stats.reassignments == 4
+        assert [o.now for o in outcomes] == [0.0, 1.0, 2.0, 3.0]
+        assert engine.metrics.epochs == 4
 
     def test_population_tracks_events(self):
         config = StreamConfig(
@@ -96,23 +99,39 @@ class TestReplayStream:
             mean_dwell=100.0,
         )
         events = generate_event_stream(config, rng=10)
-        session = CrowdsourcingSession(solver=GreedySolver(), rng=10)
-        outcomes = replay_stream(session, events, reassign_every=1.0, horizon=2.0)
+        engine = AssignmentEngine(solver=GreedySolver(), rng=10)
+        outcomes = replay_stream(engine, events, reassign_every=1.0, horizon=2.0)
         # No departures (huge dwell), so worker count is constant.
         assert all(o.num_workers == 4 for o in outcomes)
         # Task count is cumulative arrivals minus expiries; final count
-        # must match the session's live view.
-        assert outcomes[-1].num_tasks == session.num_tasks
+        # must match the engine's live view.
+        assert outcomes[-1].num_tasks == engine.num_tasks
 
     def test_invalid_period(self):
-        session = CrowdsourcingSession()
+        engine = AssignmentEngine()
         with pytest.raises(ValueError):
-            replay_stream(session, [], reassign_every=0.0)
+            replay_stream(engine, [], reassign_every=0.0)
 
     def test_departure_of_unknown_worker_tolerated(self):
-        from repro.datagen.streams import StreamEvent
-
-        session = CrowdsourcingSession()
+        engine = AssignmentEngine()
         events = [StreamEvent(time=0.5, kind=WORKER_DEPARTURE, worker_id=99)]
-        outcomes = replay_stream(session, events, reassign_every=1.0, horizon=1.0)
+        outcomes = replay_stream(engine, events, reassign_every=1.0, horizon=1.0)
         assert len(outcomes) == 2
+
+    def test_event_on_a_tick_lands_in_that_epoch(self):
+        # An accumulated ``now += 0.1`` clock reaches 0.7999999999999999 at
+        # the ninth tick, so an event stamped 0.8 would land one epoch late.
+        stamps = [k * 0.1 for k in range(11)]
+        events = [
+            StreamEvent(
+                time=stamp,
+                kind=TASK_ARRIVAL,
+                task=make_task(k, start=stamp, end=stamp + 5.0),
+            )
+            for k, stamp in enumerate(stamps)
+        ]
+        engine = AssignmentEngine(solver=GreedySolver(), rng=1)
+        outcomes = replay_stream(engine, events, reassign_every=0.1, horizon=1.0)
+        assert [o.now for o in outcomes] == stamps
+        # Task k is live from the epoch at its own stamp on.
+        assert [o.num_tasks for o in outcomes] == list(range(1, 12))

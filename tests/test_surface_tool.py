@@ -19,5 +19,6 @@ def test_surface_tool_output_parses():
     assert {kind for kind, _, _ in rows} == {"lines", "init"}
     assert lines["total"] == sum(v for k, v in lines.items() if k != "total")
     assert lines["repro/engine"] > 0
+    assert inits["repro.engine.AssignmentEngine"] == 11
     assert inits["repro.engine.ParallelSolveExecutor"] == 2
     assert inits["repro.algorithms.GreedySolver"] == 2

@@ -119,7 +119,7 @@ def _apply(engine, op):
 def _make_solver(kind, backend):
     if kind == "greedy":
         return GreedySolver(backend=backend)
-    return SamplingSolver(num_samples=40, backend=backend)
+    return SamplingSolver(num_samples=40)
 
 
 def _run_mode(kind, backend, mode, tasks, workers, script, eta, solver_seed):

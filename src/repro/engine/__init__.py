@@ -87,11 +87,7 @@ from repro.engine.events import (
 )
 from repro.engine.metrics import EngineMetrics, EpochRecord
 from repro.engine.profile import PhaseProfiler
-from repro.engine.parallel import (
-    ParallelSolveExecutor,
-    PinnedWorkerPools,
-    SampleChunkScorer,
-)
+from repro.engine.parallel import ParallelSolveExecutor, PinnedWorkerPools
 from repro.engine.scheduler import EventQueue, epoch_ticks
 from repro.engine.sharding import ShardMap
 
@@ -113,7 +109,6 @@ __all__ = [
     "ProcessResidentExecutor",
     "RebalancePolicy",
     "ResidentShard",
-    "SampleChunkScorer",
     "SequentialResidentExecutor",
     "ShardDiff",
     "ShardMap",

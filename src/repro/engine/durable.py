@@ -347,11 +347,11 @@ def solver_config(solver) -> Dict[str, Any]:
     Written into the durable meta row alongside the solver class name and
     compared by :func:`restore_engine`, so a restore with the right class
     but the wrong parameters (a different sampling budget, a different
-    backend, pruning toggled) fails loudly instead of silently replaying
-    a different decision sequence.  Warm-start wrappers fingerprint their
-    base recursively; unknown solver types record an empty dict (the
-    class-name check still applies, parameters go unvalidated — exactly
-    the pre-fingerprint behaviour).
+    GREEDY backend, pruning toggled) fails loudly instead of silently
+    replaying a different decision sequence.  Warm-start wrappers
+    fingerprint their base recursively; unknown solver types record an
+    empty dict (the class-name check still applies, parameters go
+    unvalidated — exactly the pre-fingerprint behaviour).
     """
     from repro.algorithms.greedy import GreedySolver
     from repro.algorithms.sampling import SUBSTREAM_V1, SamplingSolver
@@ -366,12 +366,25 @@ def solver_config(solver) -> Dict[str, Any]:
     if isinstance(solver, GreedySolver):
         return {"use_pruning": solver.use_pruning, "backend": solver.backend}
     if isinstance(solver, SamplingSolver):
-        return {
-            "num_samples": solver.num_samples,
-            "backend": solver.backend,
-            "rng_contract": SUBSTREAM_V1,
-        }
+        return {"num_samples": solver.num_samples, "rng_contract": SUBSTREAM_V1}
     return {}
+
+
+def _without_sampling_backend(config: Dict[str, Any]) -> Dict[str, Any]:
+    """A recorded fingerprint minus the retired SAMPLING ``backend`` key.
+
+    Older logs fingerprint ``SamplingSolver`` with its ``backend``
+    (``"python"`` or ``"numpy"``).  Both backends drew identical samples,
+    so the key carried no decision and a log holding either value restores
+    onto today's solver.  A warm wrapper's base is cleaned recursively;
+    GREEDY's ``backend`` (no ``rng_contract``) is kept.
+    """
+    config = dict(config)
+    if "base" in config:
+        config["base"] = _without_sampling_backend(config["base"])
+    if "rng_contract" in config:
+        config.pop("backend", None)
+    return config
 
 
 # ---------------------------------------------------------------------- #
@@ -806,6 +819,7 @@ def restore_engine(
                 )
             recorded_config = meta.get("solver_config")
             if recorded_config is not None:
+                recorded_config = _without_sampling_backend(recorded_config)
                 # Absent only in pre-fingerprint logs, which keep the old
                 # class-name-only validation.  JSON round-trips the dict's
                 # bools/ints/floats/strings losslessly, so plain equality

@@ -10,11 +10,10 @@ on ``(base seed, i)``, so independent sample evaluations partition freely.
 process — packed into flat arrays via :mod:`repro.fastpath.arrays`, not
 pickled object graphs — fans contiguous sample-index chunks across pinned
 worker processes, and merges the returned score blocks in sample-index
-order.  Each chunk is scored by :class:`SampleChunkScorer`, a
-bit-identical twin of :func:`repro.core.objectives.evaluate_assignment`
-that additionally memoises per-(task, chosen worker set) evaluations —
-repeated coincidences across a chunk's samples are scored once.  Plans
-are bit-identical at every pool size, and to the serial substream path.
+order.  Each chunk is scored by SAMPLING's own scorer,
+:class:`repro.algorithms.sampling.SampleChunkScorer` — the one scoring
+path the solver also runs inline — so plans are bit-identical at every
+pool size, and to an executor-less solve.
 
 GREEDY is deliberately not fanned out: every round scores against the
 global minimum reliability and commits one pair, so a round split across
@@ -35,7 +34,6 @@ Throughput is recorded by ``benchmarks/bench_parallel_solve.py`` into
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -43,10 +41,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.random_assign import CandidateTable
-from repro.algorithms.sampling import SamplingSolver, substream_rng
+from repro.algorithms.sampling import (
+    SampleChunkScorer,
+    SamplingSolver,
+    chunk_ranges,
+)
 from repro.core.problem import RdbscProblem
-from repro.core.reliability import log_to_reliability
 from repro.core.task import SpatialTask
 from repro.core.validity import ValidityRule
 from repro.core.worker import MovingWorker
@@ -211,140 +211,12 @@ def unpack_problem(wire: ProblemWire) -> RdbscProblem:
     )
 
 
-# --------------------------------------------------------------------- #
-# Chunked sample scoring
-# --------------------------------------------------------------------- #
-
-
-class SampleChunkScorer:
-    """Scores population draws bit-identically to ``evaluate_assignment``.
-
-    Built once per (problem, chunk): pre-sorts the candidate table by
-    worker id, and groups each sample's choices per task with one stable
-    argsort instead of a per-worker Python loop.  Per-task evaluations —
-    the Eq. 8 reliability sum and the ``O(r^2)`` ``E[STD]`` reduction,
-    both over the task's chosen workers in ascending worker-id order,
-    exactly as :func:`repro.core.objectives.evaluate_assignment` gathers
-    them — are memoised per (task, chosen worker set): across a chunk of
-    samples the same coincidence is scored once.  The memo only skips
-    recomputation of identical inputs, and the per-task terms are
-    accumulated in the problem's task order, so every score is
-    bit-identical to the serial evaluation.
-    """
-
-    def __init__(self, problem: RdbscProblem) -> None:
-        self.problem = problem
-        self.table = CandidateTable.from_problem(problem)
-        # Candidate-table rows re-ordered by ascending worker id: group
-        # members then come out already in evaluate_assignment's order.
-        order = np.argsort(self.table.worker_ids, kind="stable")
-        self._degrees = self.table.degrees
-        self._offsets_sorted = self.table.offsets[order]
-        self._choice_order = order
-        self._worker_ids_sorted = self.table.worker_ids[order]
-        self._flat_tasks = self.table.flat_tasks
-        self._task_rank = {
-            task.task_id: rank for rank, task in enumerate(problem.tasks)
-        }
-        self._memo: Dict[Tuple[int, bytes], Tuple[float, float]] = {}
-        self.evaluations = 0
-        self.memo_hits = 0
-
-    def _task_value(self, task_id: int, worker_ids: np.ndarray) -> Tuple[float, float]:
-        """Memoised ``(R, E[STD])`` of one task's chosen worker set."""
-        key = (task_id, worker_ids.tobytes())
-        cached = self._memo.get(key)
-        self.evaluations += 1
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        problem = self.problem
-        ids = worker_ids.tolist()
-        r_value = sum(
-            problem.workers_by_id[worker_id].log_confidence_weight
-            for worker_id in ids
-        )
-        from repro.core.expected import expected_std
-
-        estd = expected_std(
-            problem.tasks_by_id[task_id],
-            [problem.pair_profile(task_id, worker_id) for worker_id in ids],
-        )
-        self._memo[key] = (r_value, estd)
-        return r_value, estd
-
-    def score_choices(self, choices: np.ndarray) -> Tuple[float, float]:
-        """Score one sample given its per-table-row candidate choices.
-
-        ``choices`` is the bounded-integers vector drawn against the
-        candidate table's degree bounds — exactly what
-        :func:`repro.algorithms.random_assign.draw_random_assignment_batch`
-        consumes — so drawing and scoring agree on the sample's edges.
-        """
-        if self._worker_ids_sorted.shape[0] == 0:
-            return (0.0, 0.0)
-        picked = self._flat_tasks[
-            self._offsets_sorted + choices[self._choice_order]
-        ]
-        group = np.argsort(picked, kind="stable")
-        picked_sorted = picked[group]
-        boundaries = np.flatnonzero(np.diff(picked_sorted)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [picked_sorted.shape[0]]))
-        per_task: List[Tuple[int, float, float]] = []
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            task_id = int(picked_sorted[lo])
-            r_value, estd = self._task_value(
-                task_id, self._worker_ids_sorted[group[lo:hi]]
-            )
-            per_task.append((self._task_rank[task_id], r_value, estd))
-        # Accumulate in the problem's task order: the same left-to-right
-        # float additions evaluate_assignment performs.
-        per_task.sort()
-        total_std = 0.0
-        min_r = math.inf
-        for _, r_value, estd in per_task:
-            total_std += estd
-            min_r = min(min_r, r_value)
-        if math.isinf(min_r) and min_r > 0:
-            min_rel = 1.0
-        else:
-            min_rel = log_to_reliability(max(min_r, 0.0))
-        return (min_rel, total_std)
-
-    def score_range(self, base_seed: int, lo: int, hi: int) -> np.ndarray:
-        """Score substream samples ``lo..hi-1``; returns a ``(hi-lo, 2)`` block."""
-        out = np.empty((hi - lo, 2))
-        degrees = self._degrees
-        for index in range(lo, hi):
-            generator = substream_rng(base_seed, index)
-            if degrees.shape[0]:
-                choices = generator.integers(0, degrees)
-            else:
-                choices = np.empty(0, dtype=np.int64)
-            out[index - lo] = self.score_choices(choices)
-        return out
-
-
 def _score_chunk_remote(
     wire: ProblemWire, base_seed: int, lo: int, hi: int
 ) -> np.ndarray:
     """Worker-process entry: rebuild the instance, score one index range."""
     return SampleChunkScorer(unpack_problem(wire)).score_range(base_seed, lo, hi)
 
-
-def chunk_ranges(count: int, chunks: int) -> List[Tuple[int, int]]:
-    """Split ``count`` sample indices into ``chunks`` contiguous ranges.
-
-    Near-even, deterministic, order-preserving — the merge is a plain
-    concatenation in range order.  Empty ranges are dropped.
-    """
-    if chunks < 1:
-        raise ValueError(f"chunks must be positive, got {chunks}")
-    bounds = [count * chunk // chunks for chunk in range(chunks + 1)]
-    return [
-        (lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-    ]
 
 # --------------------------------------------------------------------- #
 # The engine-facing executor
@@ -362,10 +234,8 @@ class ParallelSolveExecutor:
     sample ``i``'s score lands at position ``i`` regardless of the pool
     size, and equals the serial substream evaluation bitwise (each sample
     is keyed by ``(base seed, i)`` alone).  Pools are created lazily on
-    the first SAMPLING bind; with ``processes=0`` the same chunked scoring
-    runs inline and nothing ever forks — the deterministic reference
-    configuration the differential tests compare every pool size against,
-    which still buys the chunk scorer's memoisation without any IPC.
+    the first SAMPLING bind; with ``processes=0`` nothing ever forks and
+    every solve scores inline, exactly as an executor-less solver does.
 
     A pinned child that dies mid-solve does not end the epoch: the broken
     pools are shut down, that solve is re-scored inline (bit-identical —

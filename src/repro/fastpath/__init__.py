@@ -28,8 +28,7 @@ broadcast equivalents over packed arrays:
 Consumers select the fast path through ``backend="numpy"`` flags on
 :class:`repro.core.problem.RdbscProblem`,
 :class:`repro.index.grid.RdbscGrid`,
-:class:`repro.algorithms.greedy.GreedySolver`,
-:class:`repro.algorithms.sampling.SamplingSolver` and
+:class:`repro.algorithms.greedy.GreedySolver` and
 :class:`repro.engine.AssignmentEngine`; the differential suite in
 ``tests/test_fastpath_equivalence.py`` pins both backends to identical
 results.

@@ -75,10 +75,11 @@ def _validity_mask(
     dy = tasks.ys[:, None] - workers.ys[None, :]
 
     dist = np.sqrt(dx * dx + dy * dy)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         travel = dist / workers.velocities[None, :]
     # Zero distance is free regardless of speed (fixes the 0/0 NaN too);
-    # a stationary worker facing a positive distance is already +inf.
+    # a stationary worker facing a positive distance is already +inf, and
+    # so is a subnormal-speed one whose quotient overflows: unreachable.
     travel[dist == 0.0] = 0.0
     arrival = workers.depart_times[None, :] + travel
 

@@ -41,7 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--samples", type=int, default=40, help="sampling draws")
     parser.add_argument("--seed", type=int, default=7, help="engine RNG seed")
-    parser.add_argument("--backend", choices=("python", "numpy"), default="python")
+    parser.add_argument(
+        "--backend",
+        choices=("python", "numpy"),
+        default="python",
+        help="engine backend (index, retrieval and GREEDY's scoring loop; "
+        "SAMPLING has one scoring path)",
+    )
     parser.add_argument("--eta", type=float, default=0.125, help="grid cell size")
     parser.add_argument(
         "--shards", type=int, default=1, help=">1 serves the sharded engine"
@@ -76,7 +82,7 @@ def build_solver(args: argparse.Namespace):
     """The solver instance the flags describe."""
     if args.solver == "greedy":
         return GreedySolver(backend=args.backend)
-    return SamplingSolver(num_samples=args.samples, backend=args.backend)
+    return SamplingSolver(num_samples=args.samples)
 
 
 def solver_from_log(durable_path: str):
@@ -100,8 +106,10 @@ def solver_from_log(durable_path: str):
         return GreedySolver(**config)
     if name == "SamplingSolver":
         # ``rng_contract`` is a recorded constant, not a constructor knob;
-        # restore_engine's fingerprint check still compares it.
+        # restore_engine's fingerprint check still compares it.  Older logs
+        # also record a ``backend``: both backends drew identical samples.
         config.pop("rng_contract", None)
+        config.pop("backend", None)
         return SamplingSolver(**config)
     raise SystemExit(
         f"cannot resume a session solved by {name!r} from the CLI; "

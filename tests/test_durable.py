@@ -35,6 +35,8 @@ from repro.engine.durable import (
 )
 from repro.geometry.angles import AngleInterval
 from repro.geometry.points import Point
+from repro.serve.__main__ import solver_from_log
+from repro.solvers.incremental import WarmStartSamplingSolver
 from tests.conftest import (
     DRIFT_SCENARIOS,
     ScriptedChurn,
@@ -399,6 +401,54 @@ class TestKillAndRecover:
         assert type(recovered) is AssignmentEngine
         trace += run(recovered, churn, self.KILL_AFTER, self.EPOCHS)
         assert trace == expected
+        recovered.close()
+
+    @pytest.mark.parametrize("solve_mode", ["full", "warm"])
+    def test_backend_era_sampling_log_restores(self, solve_mode, tmp_path):
+        # Logs from when ``SamplingSolver`` took a ``backend`` fingerprint
+        # it, nested under ``base`` for a warm wrapper.  Both backends drew
+        # identical samples, so such a log must restore onto today's
+        # solver and continue bit-identically, counters included.
+        def solver_factory():
+            if solve_mode == "warm":
+                return WarmStartSamplingSolver(SamplingSolver(num_samples=16))
+            return SamplingSolver(num_samples=16)
+
+        def make_engine(path):
+            return AssignmentEngine(
+                solver=solver_factory(),
+                rng=np.random.default_rng(31),
+                solve_mode=solve_mode,
+                durable_path=path,
+                durable_snapshot_every=2,
+            )
+
+        path = tmp_path / "backend-era.db"
+        engine = make_engine(path)
+        recorded = engine.durable.meta()["solver_config"]
+        sampling_config = recorded["base"] if solve_mode == "warm" else recorded
+        assert "num_samples" in sampling_config
+        assert "backend" not in sampling_config
+        seed_population(engine)
+        churn = ScriptedChurn()
+        plans = drive(engine, churn, self.KILL_AFTER)
+        del engine  # crash: no close(), no flush beyond the WAL
+        sampling_config["backend"] = "numpy"
+        with DurableLog(path) as log:
+            log.set_meta({"solver_config": recorded})
+
+        if solve_mode == "warm":
+            solver = solver_factory()
+        else:
+            # The serve CLI rebuilds the solver from the same meta row.
+            solver = solver_from_log(str(path))
+        recovered = restore_engine(path, solver=solver)
+        plans += drive(recovered, churn, self.EPOCHS, start=self.KILL_AFTER)
+        if solve_mode == "warm":
+            assert any(mode == "warm" for _, mode in plans[self.KILL_AFTER :])
+        assert (plans, recovered.metrics.counters()) == self.run_reference(
+            make_engine
+        )
         recovered.close()
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])

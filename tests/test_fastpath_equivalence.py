@@ -10,6 +10,7 @@ identical objectives, identical pruning decisions.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from repro.fastpath import (
     batch_valid_pairs,
     lemma43_prune_order,
 )
+from repro.fastpath.kernels import FILTER_SLACK, _validity_mask
 from repro.geometry.angles import TWO_PI, AngleInterval
 from repro.geometry.points import Point
 from repro.index.grid import RdbscGrid, retrieve_pairs_without_index
@@ -216,6 +218,31 @@ def test_ulp_adverse_deadline_not_dropped():
     assert pair_set(grid.valid_pairs()) == pair_set(scalar)
 
 
+@pytest.mark.parametrize("slack", [0.0, FILTER_SLACK])
+@pytest.mark.parametrize("waiting", [False, True])
+def test_subnormal_velocity_is_unreachable_without_warning(slack, waiting):
+    """``0.5 / 1e-310`` overflows to ``inf``: the intended "unreachable".
+
+    The mask must agree with the scalar rule and raise no
+    ``RuntimeWarning`` on the way.
+    """
+    tasks = [SpatialTask(0, Point(0.5, 0.0), 0.0, 10.0)]
+    workers = [
+        MovingWorker(0, Point(0.0, 0.0), 1e-310, AngleInterval.full_circle(), 0.9)
+    ]
+    rule = ValidityRule(allow_waiting=waiting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        valid, _ = _validity_mask(
+            TaskArrays.from_tasks(tasks),
+            WorkerArrays.from_workers(workers),
+            waiting,
+            slack,
+        )
+    assert valid.tolist() == [[rule.is_valid(workers[0], tasks[0])]]
+    assert valid.tolist() == [[False]]
+
+
 def test_build_pairs_is_idempotent():
     problem = generate_problem(
         ExperimentConfig.scaled_defaults(num_tasks=6, num_workers=12), 4
@@ -290,11 +317,15 @@ def test_greedy_backend_identical(seed, use_pruning):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sampling_backend_identical(seed):
-    problem = generate_problem(
-        ExperimentConfig.scaled_defaults(num_tasks=10, num_workers=25), seed
+    # SAMPLING has one scoring path; the problem's backend only builds the
+    # pair graph, which must not change the solve.
+    config = ExperimentConfig.scaled_defaults(num_tasks=10, num_workers=25)
+    reference = SamplingSolver(num_samples=40).solve(
+        generate_problem(config, seed), rng=seed
     )
-    reference = SamplingSolver(num_samples=40).solve(problem, rng=seed)
-    batched = SamplingSolver(num_samples=40, backend="numpy").solve(problem, rng=seed)
+    batched = SamplingSolver(num_samples=40).solve(
+        generate_problem(config, seed, backend="numpy"), rng=seed
+    )
     assert sorted(reference.assignment.pairs()) == sorted(batched.assignment.pairs())
     assert reference.objective == batched.objective
 
@@ -335,8 +366,6 @@ def test_backend_validation():
         RdbscProblem([], [], backend="fortran")
     with pytest.raises(ValueError):
         GreedySolver(backend="fortran")
-    with pytest.raises(ValueError):
-        SamplingSolver(backend="fortran")
     with pytest.raises(ValueError):
         RdbscGrid(0.25, backend="fortran")
 

@@ -2,11 +2,17 @@
 
 What is pinned here:
 
-* **Substream determinism (satellite of the subsystem's contract)** —
-  under :data:`repro.algorithms.sampling.SUBSTREAM_V1` the solved plan is
+* **The reference oracle** — :func:`reference_sampling_solve` is SAMPLING
+  by the book: materialise every substream draw, score it with
+  :func:`repro.core.objectives.evaluate_assignment`, keep the dominance
+  winner.  ``SamplingSolver.solve`` with no executor, with an inline
+  (``processes=0``) executor and with a 2-process pool must equal it in
+  pairs and bit-exact objective, over Hypothesis-drawn small instances.
+* **Substream determinism** — under
+  :data:`repro.algorithms.sampling.SUBSTREAM_V1` the solved plan is
   bit-identical at executor pool sizes 0 (inline chunks), 1, 2 and 4 and
-  to the serial no-executor path, on both backends, with seed-identity
-  *across* backends; the contract is a recorded constant, not a knob.
+  to the no-executor path; the contract is a recorded constant, not a
+  knob.
 * **Chunk-scorer equivalence** — :class:`SampleChunkScorer` produces the
   exact floats of :func:`repro.core.objectives.evaluate_assignment` for
   every drawn sample (the memo only skips recomputation).
@@ -26,11 +32,25 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import GreedySolver, SamplingSolver
-from repro.algorithms.random_assign import draw_random_assignment
-from repro.algorithms.sampling import SUBSTREAM_V1, substream_rng
+from repro.algorithms.base import make_rng
+from repro.algorithms.random_assign import (
+    CandidateTable,
+    draw_random_assignment,
+    draw_random_assignment_batch,
+)
+from repro.algorithms.sampling import (
+    SUBSTREAM_V1,
+    SampleChunkScorer,
+    chunk_ranges,
+    substream_base_seed,
+    substream_rng,
+)
 from repro.core.objectives import evaluate_assignment
+from repro.core.problem import RdbscProblem, ValidPair
 from repro.datagen import ExperimentConfig, generate_problem
 from repro.engine import (
     AssignmentEngine,
@@ -40,12 +60,33 @@ from repro.engine import (
 from repro.engine.durable import solver_config
 from repro.engine.parallel import (
     PinnedWorkerPools,
-    SampleChunkScorer,
-    chunk_ranges,
     pack_problem,
     unpack_problem,
 )
+from repro.skyline.dominance import best_index_by_dominance
 from tests.conftest import make_task, make_worker
+
+
+def reference_sample_scores(problem, rng, k):
+    """The ``k`` substream samples, materialised, and their scores.
+
+    Drawn one worker at a time and scored with ``evaluate_assignment`` —
+    no candidate table, no grouping, no memo.
+    """
+    base = substream_base_seed(make_rng(rng))
+    samples = [
+        draw_random_assignment(problem, substream_rng(base, index))
+        for index in range(k)
+    ]
+    values = [evaluate_assignment(problem, sample) for sample in samples]
+    return samples, [(v.min_reliability, v.total_std) for v in values]
+
+
+def reference_sampling_solve(problem, rng, k):
+    """SAMPLING by the book, as ``(sorted pairs, objective)``."""
+    samples, scores = reference_sample_scores(problem, rng, k)
+    winner = samples[best_index_by_dominance(scores)]
+    return sorted(winner.pairs()), evaluate_assignment(problem, winner)
 
 
 def problem_for(seed=3, m=12, n=36, backend="python"):
@@ -78,20 +119,30 @@ class TestSubstreamContract:
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_inline_executor_matches_serial(self, backend):
+        # ``backend`` builds the problem's pair graph; the solver has one
+        # scoring path either way.
         problem = problem_for(backend=backend)
-        reference = SamplingSolver(num_samples=24, backend=backend).solve(
-            problem, rng=5
-        )
+        reference = reference_sampling_solve(problem, 5, 24)
+        solver = SamplingSolver(num_samples=24)
+        assert plan_key(solver.solve(problem, rng=5)) == reference
         with ParallelSolveExecutor(processes=0) as executor:
-            solver = SamplingSolver(num_samples=24, backend=backend)
             executor.bind(solver)
-            assert plan_key(solver.solve(problem, rng=5)) == plan_key(reference)
+            assert plan_key(solver.solve(problem, rng=5)) == reference
+            assert executor.stats["samples_inline"] == 24
 
     def test_backends_seed_identical(self):
+        # The winner is re-drawn with the batched draw on a candidate
+        # table; the oracle draws worker by worker.  Both must consume a
+        # substream generator identically.
         problem = problem_for()
-        a = SamplingSolver(num_samples=24, backend="python").solve(problem, rng=9)
-        b = SamplingSolver(num_samples=24, backend="numpy").solve(problem, rng=9)
-        assert plan_key(a) == plan_key(b)
+        table = CandidateTable.from_problem(problem)
+        base = 987654321
+        for index in range(40):
+            scalar = draw_random_assignment(problem, substream_rng(base, index))
+            batched = draw_random_assignment_batch(
+                table, substream_rng(base, index)
+            )
+            assert sorted(scalar.pairs()) == sorted(batched.pairs())
 
     def test_unknown_contract_rejected(self):
         # The contract is a recorded constant, not a knob: asking for any
@@ -115,14 +166,119 @@ class TestSubstreamContract:
 
     def test_warm_fresh_draws_match_full_solve_prefix(self):
         """Substream keeps the warm/full sample-identity contract."""
-        from repro.algorithms.base import make_rng
-
         problem = problem_for()
         solver = SamplingSolver(num_samples=16)
-        full, _ = solver.draw_scored_samples(problem, make_rng(7), 16)
-        prefix, _ = solver.draw_scored_samples(problem, make_rng(7), 4)
-        for a, b in zip(prefix, full):
-            assert sorted(a.pairs()) == sorted(b.pairs())
+        full = solver.scored_sample_pool(problem, make_rng(7), 16)
+        prefix = solver.scored_sample_pool(problem, make_rng(7), 4)
+        assert prefix.scores == full.scores[:4]
+        for index in range(4):
+            assert sorted(prefix.assignment(index).pairs()) == sorted(
+                full.assignment(index).pairs()
+            )
+
+
+@st.composite
+def sampling_cases(draw):
+    """A small instance with a drawn edge set, a budget K and a seed.
+
+    Task and worker ids are shuffled against list order, so the scorer's
+    worker-id grouping and task-order accumulation both change bits when
+    broken.  The edge set may be empty; with few tasks and many low-degree
+    workers the same per-task coincidence recurs across samples.
+    """
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    n_tasks = draw(st.integers(min_value=1, max_value=4))
+    n_workers = draw(st.integers(min_value=1, max_value=12))
+    task_ids = draw(st.permutations(range(n_tasks)))
+    worker_ids = draw(st.permutations(range(n_workers)))
+    tasks = [
+        make_task(i, x=draw(unit), y=draw(unit), beta=draw(unit))
+        for i in task_ids
+    ]
+    workers = [
+        make_worker(
+            j,
+            x=draw(unit),
+            y=draw(unit),
+            # Low confidences keep a task's reliability 1 - exp(-R) far
+            # enough from 1 that an ulp of R (its summation order) shows.
+            confidence=draw(st.floats(min_value=0.01, max_value=0.35)),
+        )
+        for j in worker_ids
+    ]
+    edges = draw(
+        st.sets(
+            st.tuples(
+                st.integers(0, n_tasks - 1), st.integers(0, n_workers - 1)
+            ),
+            max_size=n_tasks * n_workers,
+        )
+    )
+    pairs = [
+        ValidPair(t, w, draw(st.floats(min_value=0.0, max_value=10.0)))
+        for t, w in sorted(edges)
+    ]
+    problem = RdbscProblem(tasks, workers, precomputed_pairs=pairs)
+    k = draw(st.integers(min_value=1, max_value=12))
+    return problem, k, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+def shuffled_case(seed, n_tasks=3, n_workers=12, k=12):
+    """A seeded ``sampling_cases``-shaped instance, half its pairs valid.
+
+    Seeds 3 and 5 are cases where out-of-task-order accumulation and
+    list-order (not worker-id-order) grouping both change score bits.
+    """
+    rng = np.random.default_rng(seed)
+    tasks = [
+        make_task(int(i), x=rng.uniform(), y=rng.uniform(), beta=rng.uniform())
+        for i in rng.permutation(n_tasks)
+    ]
+    workers = [
+        make_worker(
+            int(j), x=rng.uniform(), y=rng.uniform(),
+            confidence=rng.uniform(0.01, 0.35),
+        )
+        for j in rng.permutation(n_workers)
+    ]
+    pairs = [
+        ValidPair(t, w, rng.uniform(0.0, 10.0))
+        for t in range(n_tasks)
+        for w in range(n_workers)
+        if rng.uniform() < 0.5
+    ]
+    return RdbscProblem(tasks, workers, precomputed_pairs=pairs), k, seed
+
+
+@pytest.fixture(scope="module")
+def two_process_executor():
+    with ParallelSolveExecutor(
+        processes=2, min_samples_per_process=1
+    ) as executor:
+        yield executor
+
+
+class TestReferenceOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(case=sampling_cases())
+    @example(case=shuffled_case(3))
+    @example(case=shuffled_case(5))
+    def test_every_path_equals_reference(self, case, two_process_executor):
+        # The winner's objective is re-scored by evaluate_assignment and
+        # dominance compares with a tolerance, so an ulp-level scoring
+        # drift could hide behind an equal plan: every sample's score is
+        # compared bit for bit as well.
+        problem, k, seed = case
+        _, reference_scores = reference_sample_scores(problem, seed, k)
+        reference = reference_sampling_solve(problem, seed, k)
+        for executor in (None, ParallelSolveExecutor(processes=0),
+                         two_process_executor):
+            solver = SamplingSolver(num_samples=k, executor=executor)
+            pool = solver.scored_sample_pool(problem, make_rng(seed), k)
+            assert pool.scores == reference_scores
+            result = solver.solve(problem, rng=seed)
+            assert plan_key(result) == reference
+            assert result.stats["samples"] == float(k)
 
 
 @pytest.mark.churn
@@ -140,13 +296,11 @@ class TestSampleFanOutPoolSizes:
 
     def test_numpy_backend_fans_out_identically(self):
         problem = problem_for(seed=13, backend="numpy")
-        reference = SamplingSolver(num_samples=32, backend="numpy").solve(
-            problem, rng=3
-        )
+        reference = SamplingSolver(num_samples=32).solve(problem, rng=3)
         with ParallelSolveExecutor(
             processes=2, min_samples_per_process=4
         ) as executor:
-            solver = SamplingSolver(num_samples=32, backend="numpy")
+            solver = SamplingSolver(num_samples=32)
             executor.bind(solver)
             assert plan_key(solver.solve(problem, rng=3)) == plan_key(reference)
             assert executor.stats["samples_remote"] == 32

@@ -762,11 +762,13 @@ class TestCli:
         # was served by a python-only solver.
         from repro.serve.__main__ import build_parser, build_server
 
+        # SAMPLING has one scoring path and no backend of its own.
         async def scenario(*argv):
             server = build_server(build_parser().parse_args(argv))
             engine = server.engine
             try:
-                return type(engine.solver).__name__, engine.backend, engine.solver.backend
+                solver_backend = getattr(engine.solver, "backend", None)
+                return type(engine.solver).__name__, engine.backend, solver_backend
             finally:
                 engine.close()
 
@@ -775,7 +777,7 @@ class TestCli:
         )
         assert asyncio.run(
             scenario("--backend", "numpy", "--solver", "sampling", "--shards", "2")
-        ) == ("SamplingSolver", "numpy", "numpy")
+        ) == ("SamplingSolver", "numpy", None)
         assert asyncio.run(scenario())[1:] == ("python", "python")
 
 
@@ -807,10 +809,12 @@ class TestKillAndResume:
             finally:
                 proc2.kill()
                 proc2.wait(timeout=30)
+                proc2.stdout.close()
         finally:
             if proc.poll() is None:  # pragma: no cover - cleanup on failure
                 proc.kill()
                 proc.wait(timeout=30)
+            proc.stdout.close()
         assert before + after == expected
 
 

@@ -22,3 +22,5 @@ def test_surface_tool_output_parses():
     assert inits["repro.engine.AssignmentEngine"] == 11
     assert inits["repro.engine.ParallelSolveExecutor"] == 2
     assert inits["repro.algorithms.GreedySolver"] == 2
+    assert inits["repro.algorithms.SamplingSolver"] == 3
+    assert "repro.engine.SampleChunkScorer" not in inits

@@ -121,7 +121,7 @@ def test_zero_churn_warm_sampling_not_dominated(backend):
     out dominated by the full solve on the same engine seed."""
     tasks, workers = make_pools(5)
     solver = WarmStartSamplingSolver(
-        SamplingSolver(num_samples=12, backend=backend), fresh_fraction=1.0
+        SamplingSolver(num_samples=12), fresh_fraction=1.0
     )
     full = filled_engine(tasks[:30], workers[:70], solver, "full", backend)
     warm = filled_engine(tasks[:30], workers[:70], solver, "warm", backend)
@@ -204,7 +204,7 @@ def test_warm_sampling_draws_identical_stream(backend):
     """Warm fresh samples == the first K' samples of a full solve."""
     tasks, workers = make_pools(17)
     problem = RdbscProblem(tasks[:24], workers[:50], backend=backend)
-    base = SamplingSolver(num_samples=16, backend=backend)
+    base = SamplingSolver(num_samples=16)
     plan = _plan_from_full_solve(problem, base, seed=7)
     warm = WarmStartSamplingSolver(base, fresh_fraction=0.5)
     fresh_count = warm.fresh_sample_count(problem)
@@ -213,12 +213,15 @@ def test_warm_sampling_draws_identical_stream(backend):
     # Replay the draw by hand on an equal generator: the warm pool must be
     # the carried candidate plus exactly these samples, and the warm result
     # their dominance winner.
-    samples, scores = base.draw_scored_samples(problem, make_rng(7), fresh_count)
+    pool = base.scored_sample_pool(problem, make_rng(7), fresh_count)
+    samples = [pool.assignment(i) for i in range(len(pool))]
     carried = warm.carried_candidate(problem, plan)
     from repro.core.objectives import evaluate_assignment
 
     carried_value = evaluate_assignment(problem, carried)
-    pool_scores = [(carried_value.min_reliability, carried_value.total_std)] + scores
+    pool_scores = [
+        (carried_value.min_reliability, carried_value.total_std)
+    ] + pool.scores
     expected_winner = ([carried] + samples)[best_index_by_dominance(pool_scores)]
 
     result = warm.warm_solve(problem, plan, rng=7)
@@ -226,9 +229,11 @@ def test_warm_sampling_draws_identical_stream(backend):
 
     # And the full solver, on the same seed, draws a strict superset whose
     # first `fresh_count` samples are bit-identical to the warm draws.
-    full_samples, _ = base.draw_scored_samples(problem, make_rng(7), 16)
-    for warm_sample, full_sample in zip(samples, full_samples):
-        assert sorted(warm_sample.pairs()) == sorted(full_sample.pairs())
+    full_pool = base.scored_sample_pool(problem, make_rng(7), 16)
+    for index, warm_sample in enumerate(samples):
+        assert sorted(warm_sample.pairs()) == sorted(
+            full_pool.assignment(index).pairs()
+        )
 
 
 @pytest.mark.parametrize("seed", [2, 9, 31])

@@ -17,8 +17,8 @@ honestly:
   every ``SamplingSolver`` runs inline, and the worker processes run per
   chunk.  The gap to ``substream`` is the
   :class:`repro.algorithms.sampling.SampleChunkScorer` contribution
-  (grouped choice scoring + per-(task, worker set) memoisation) with
-  zero IPC.
+  (one vector pass per range: each distinct (task, worker set) scored
+  once through the batched E[STD] slab) with zero IPC.
 * ``sampling/parallel-2`` / ``sampling/parallel-4`` — real pinned
   process pools.  On a multi-core host the chunks overlap; on a
   single-core host (like CI) these rows mostly add IPC on top of

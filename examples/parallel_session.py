@@ -4,8 +4,8 @@ An engine whose epochs are dominated by the SAMPLING solve — a
 mid-density instance re-planned with a 512-sample budget under light
 movement churn — is replayed three times over the same event stream:
 serially (the substream contract, no executor), through the inline
-chunked scorer (``solve_executor`` with zero processes — the
-memoisation win alone), and through a 4-process pinned pool.  The
+chunked scorer (``solve_executor`` with zero processes — the same
+scorer, zero IPC), and through a 4-process pinned pool.  The
 script asserts every epoch's plan is bit-identical across all three,
 then prints the solve-throughput table: the parallel solve subsystem's
 whole pitch in one screen — same plans, same numbers, a multiple of the

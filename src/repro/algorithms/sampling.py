@@ -24,18 +24,21 @@ Scoring is one path, :class:`SampleChunkScorer`: it derives each
 sample's per-worker choices from the sample's child generator in one
 bounded-``integers`` call over the flattened candidate table (the exact
 draw :func:`repro.algorithms.random_assign.draw_random_assignment`
-makes), and scores them bit-identically to
+makes), and scores a whole index range in one vector pass — each
+distinct (task, chosen worker set) of the range once, through the batched
+E[STD] slab kernel — bit-identically to
 :func:`repro.core.objectives.evaluate_assignment` without materialising
 an :class:`Assignment`.  The solver runs it inline; an attached
 :class:`repro.engine.parallel.ParallelSolveExecutor` runs the same
 :meth:`SampleChunkScorer.score_range` on contiguous index ranges in its
 pool processes.  Only the winner is ever materialised, re-drawn by index.
+The dominance rank of ``K`` scores is a numpy matrix
+(:func:`repro.skyline.dominance.best_index_by_dominance`).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -46,9 +49,9 @@ from repro.algorithms.random_assign import (
 )
 from repro.algorithms.sample_size import SamplePlan
 from repro.core.assignment import Assignment
-from repro.core.expected import expected_std
 from repro.core.problem import RdbscProblem
 from repro.core.reliability import log_to_reliability
+from repro.fastpath.diversity import DiversitySlab, batch_expected_std
 from repro.skyline.dominance import best_index_by_dominance
 
 #: The substream determinism contract (see the module docstring): one base
@@ -85,112 +88,196 @@ def substream_rng(base_seed: int, index: int) -> np.random.Generator:
     )
 
 
+#: Bits used per mask word: a task's candidate pairs, in worker-id order,
+#: set bits ``slot % 62`` of word ``slot // 62``, so any task degree
+#: encodes in ``ceil(degree / 62)`` non-negative ``int64`` words.
+_MASK_BITS = 62
+
+#: Rough cell budget of one scoring block's ``(samples, tasks)`` and
+#: ``(samples, workers)`` matrices: a range is scored in blocks of at most
+#: this many cells (one block at engine-sized K), keeping a 10 000-sample
+#: budget's temporaries in the tens of megabytes.  Samples are scored
+#: independently, so blocking cannot change a bit.
+_BLOCK_CELLS = 1 << 20
+
+
 class SampleChunkScorer:
     """Scores population draws bit-identically to ``evaluate_assignment``.
 
-    Built once per (problem, chunk): pre-sorts the candidate table by
-    worker id, and groups each sample's choices per task with one stable
-    argsort instead of a per-worker Python loop.  Per-task evaluations —
-    the Eq. 8 reliability sum and the ``O(r^2)`` ``E[STD]`` reduction,
-    both over the task's chosen workers in ascending worker-id order,
-    exactly as :func:`repro.core.objectives.evaluate_assignment` gathers
-    them — are memoised per (task, chosen worker set): across a chunk of
-    samples the same coincidence is scored once.  The memo only skips
-    recomputation of identical inputs, and the per-task terms are
-    accumulated in the problem's task order, so every score is
-    bit-identical to the serial evaluation.
+    Built once per (problem, chunk).  The per-pair columns (profile angle,
+    arrival and confidence, the worker's ``log_confidence_weight``) are
+    laid out task-major, each task's candidates in ascending worker id —
+    the order :func:`repro.core.objectives.evaluate_assignment` gathers a
+    task's chosen workers in.  :meth:`score_range` then scores a whole
+    index range in one vector pass:
+
+    1. every sample's choices (one bounded-``integers`` call on its own
+       substream generator, the draw the winner is later re-made with)
+       are stacked into a ``(samples, workers)`` matrix of flat pairs;
+    2. each (sample, task) group becomes a bitmask over the task's
+       candidate slots, and the ``(task, mask)`` rows are deduplicated
+       with :func:`numpy.unique` — across a range the same coincidence
+       recurs many times and is scored once;
+    3. the distinct rows are scored as one
+       :class:`~repro.fastpath.diversity.DiversitySlab` through the
+       bitwise :func:`~repro.fastpath.diversity.batch_expected_std`, and
+       each row's Eq. 8 sum ``R`` is the last column of a sequential
+       ``cumsum`` that starts from ``+0.0`` — the float additions of
+       ``sum()``;
+    4. the rows are scattered back into ``(samples, tasks)`` matrices in
+       the problem's task order, where ``total E[STD]`` is again a
+       sequential ``cumsum`` (absent tasks add an exact ``+0.0``) and the
+       minimum ``R`` goes through ``math``'s ``exp`` as the scalar does.
+
+    ``groups`` and ``distinct_rows`` count the (sample, task) groups of
+    the last range and the rows actually scored for them.  A range larger
+    than :data:`_BLOCK_CELLS` allows is scored block by block.
     """
 
     def __init__(self, problem: RdbscProblem) -> None:
-        self.problem = problem
-        self.table = CandidateTable.from_problem(problem)
-        # Candidate-table rows re-ordered by ascending worker id: group
-        # members then come out already in evaluate_assignment's order.
-        order = np.argsort(self.table.worker_ids, kind="stable")
-        self._degrees = self.table.degrees
-        self._offsets_sorted = self.table.offsets[order]
-        self._choice_order = order
-        self._worker_ids_sorted = self.table.worker_ids[order]
-        self._flat_tasks = self.table.flat_tasks
-        self._task_rank = {
-            task.task_id: rank for rank, task in enumerate(problem.tasks)
-        }
-        self._memo: Dict[Tuple[int, bytes], Tuple[float, float]] = {}
-        self.evaluations = 0
-        self.memo_hits = 0
-
-    def _task_value(self, task_id: int, worker_ids: np.ndarray) -> Tuple[float, float]:
-        """Memoised ``(R, E[STD])`` of one task's chosen worker set."""
-        key = (task_id, worker_ids.tobytes())
-        cached = self._memo.get(key)
-        self.evaluations += 1
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        problem = self.problem
-        ids = worker_ids.tolist()
-        r_value = sum(
-            problem.workers_by_id[worker_id].log_confidence_weight
-            for worker_id in ids
+        table = CandidateTable.from_problem(problem)
+        self._degrees = table.degrees
+        self._offsets = table.offsets
+        self._num_tasks = len(problem.tasks)
+        rank_of = {task.task_id: rank for rank, task in enumerate(problem.tasks)}
+        # Flat table entry -> its task's rank and its worker id.
+        pair_workers = np.repeat(table.worker_ids, table.degrees)
+        pair_ranks = np.asarray(
+            [rank_of[task_id] for task_id in table.flat_tasks.tolist()],
+            dtype=np.int64,
         )
-        estd = expected_std(
-            problem.tasks_by_id[task_id],
-            [problem.pair_profile(task_id, worker_id) for worker_id in ids],
+        # Task-major order: by task rank, then worker id.  An entry's slot
+        # is its position among its task's candidates.
+        by_task = np.lexsort((pair_workers, pair_ranks))
+        task_degrees = np.bincount(pair_ranks, minlength=self._num_tasks)
+        self._task_starts = np.cumsum(task_degrees) - task_degrees
+        slots = np.empty(by_task.shape[0], dtype=np.int64)
+        slots[by_task] = (
+            np.arange(by_task.shape[0]) - self._task_starts[pair_ranks[by_task]]
         )
-        self._memo[key] = (r_value, estd)
-        return r_value, estd
-
-    def score_choices(self, choices: np.ndarray) -> Tuple[float, float]:
-        """Score one sample given its per-table-row candidate choices.
-
-        ``choices`` is the bounded-integers vector drawn against the
-        candidate table's degree bounds — exactly what
-        :func:`repro.algorithms.random_assign.draw_random_assignment_batch`
-        consumes — so drawing and scoring agree on the sample's edges.
-        """
-        if self._worker_ids_sorted.shape[0] == 0:
-            return (0.0, 0.0)
-        picked = self._flat_tasks[
-            self._offsets_sorted + choices[self._choice_order]
-        ]
-        group = np.argsort(picked, kind="stable")
-        picked_sorted = picked[group]
-        boundaries = np.flatnonzero(np.diff(picked_sorted)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [picked_sorted.shape[0]]))
-        per_task: List[Tuple[int, float, float]] = []
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            task_id = int(picked_sorted[lo])
-            r_value, estd = self._task_value(
-                task_id, self._worker_ids_sorted[group[lo:hi]]
+        self._pair_ranks = pair_ranks
+        self._pair_words = slots // _MASK_BITS
+        self._pair_bits = np.left_shift(1, slots % _MASK_BITS, dtype=np.int64)
+        self._words = max(1, -(-int(task_degrees.max(initial=0)) // _MASK_BITS))
+        # Task-major per-pair and per-task columns.
+        worker_ids = pair_workers[by_task].tolist()
+        profiles = [
+            problem.pair_profile(task_id, worker_id)
+            for task_id, worker_id in zip(
+                table.flat_tasks[by_task].tolist(), worker_ids
             )
-            per_task.append((self._task_rank[task_id], r_value, estd))
-        # Accumulate in the problem's task order: the same left-to-right
-        # float additions evaluate_assignment performs.
-        per_task.sort()
-        total_std = 0.0
-        min_r = math.inf
-        for _, r_value, estd in per_task:
-            total_std += estd
-            min_r = min(min_r, r_value)
-        if math.isinf(min_r) and min_r > 0:
-            min_rel = 1.0
-        else:
-            min_rel = log_to_reliability(max(min_r, 0.0))
-        return (min_rel, total_std)
+        ]
+        self._angles = np.asarray([p.angle for p in profiles], dtype=np.float64)
+        self._arrivals = np.asarray([p.arrival for p in profiles], dtype=np.float64)
+        self._confidences = np.asarray(
+            [p.confidence for p in profiles], dtype=np.float64
+        )
+        self._weights = np.asarray(
+            [
+                problem.workers_by_id[worker_id].log_confidence_weight
+                for worker_id in worker_ids
+            ],
+            dtype=np.float64,
+        )
+        self._betas = np.asarray([t.beta for t in problem.tasks], dtype=np.float64)
+        self._starts = np.asarray([t.start for t in problem.tasks], dtype=np.float64)
+        self._ends = np.asarray([t.end for t in problem.tasks], dtype=np.float64)
+        self._shifts = np.arange(_MASK_BITS, dtype=np.int64)
+        self.groups = 0
+        self.distinct_rows = 0
 
     def score_range(self, base_seed: int, lo: int, hi: int) -> np.ndarray:
         """Score substream samples ``lo..hi-1``; returns a ``(hi-lo, 2)`` block."""
-        out = np.empty((hi - lo, 2))
-        degrees = self._degrees
-        for index in range(lo, hi):
-            generator = substream_rng(base_seed, index)
-            if degrees.shape[0]:
-                choices = generator.integers(0, degrees)
-            else:
-                choices = np.empty(0, dtype=np.int64)
-            out[index - lo] = self.score_choices(choices)
+        out = np.zeros((max(hi - lo, 0), 2))
+        self.groups = self.distinct_rows = 0
+        if not self._degrees.shape[0]:
+            return out
+        per_sample = self._num_tasks * self._words + self._degrees.shape[0]
+        step = max(1, _BLOCK_CELLS // per_sample)
+        for start in range(lo, hi, step):
+            stop = min(hi, start + step)
+            out[start - lo : stop - lo] = self._score_block(base_seed, start, stop)
         return out
+
+    def _score_block(self, base_seed: int, lo: int, hi: int) -> np.ndarray:
+        """One vector pass over samples ``lo..hi-1`` (at least one)."""
+        count = hi - lo
+        out = np.empty((count, 2))
+        degrees = self._degrees
+        pairs = self._offsets + np.stack(
+            [substream_rng(base_seed, i).integers(0, degrees) for i in range(lo, hi)]
+        )
+        num_tasks, words = self._num_tasks, self._words
+        cells = np.arange(count)[:, None] * num_tasks + self._pair_ranks[pairs]
+        masks = np.zeros((count * num_tasks, words), dtype=np.int64)
+        np.bitwise_or.at(
+            masks, (cells.ravel(), self._pair_words[pairs].ravel()),
+            self._pair_bits[pairs].ravel(),
+        )
+        present = np.flatnonzero(masks.any(axis=1))
+        ranks = present % num_tasks
+        keys = np.column_stack((ranks, masks[present]))
+        # One opaque byte string per row: np.unique sorts these far faster
+        # than it sorts rows with axis=0; the order is irrelevant here.
+        row_bytes = np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))
+        uniques, inverse = np.unique(
+            keys.view(row_bytes).reshape(-1), return_inverse=True
+        )
+        rows = uniques.view(np.int64).reshape(-1, keys.shape[1])
+        self.groups += int(present.shape[0])
+        self.distinct_rows += int(rows.shape[0])
+        r_values, estds = self._score_rows(rows)
+        samples = present // num_tasks
+        r_matrix = np.full((count, num_tasks), np.inf)
+        s_matrix = np.zeros((count, num_tasks))
+        r_matrix[samples, ranks] = r_values[inverse]
+        s_matrix[samples, ranks] = estds[inverse]
+        # Task-order accumulation: cumsum is sequential (np.sum is
+        # pairwise and would change bits); absent tasks add +0.0.
+        out[:, 1] = np.cumsum(s_matrix, axis=1)[:, -1]
+        # R >= +0.0 (sums start from +0.0), so evaluate_assignment's clamp
+        # at 0.0 is a no-op; log_to_reliability maps +inf (a certain
+        # worker) to 1.0 and everything else through math.exp.
+        out[:, 0] = [log_to_reliability(r) for r in r_matrix.min(axis=1).tolist()]
+        return out
+
+    def _score_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(R, E[STD])`` of each distinct ``(task rank, mask words...)`` row."""
+        num_rows = rows.shape[0]
+        ranks = rows[:, 0]
+        bits = (rows[:, 1:, None] >> self._shifts) & 1
+        # Row-major nonzero: each row's slots ascending, i.e. its chosen
+        # workers in ascending worker id.
+        row_of, slot = np.nonzero(bits.reshape(num_rows, -1))
+        pair = self._task_starts[ranks[row_of]] + slot
+        counts = np.bincount(row_of, minlength=num_rows)
+        firsts = np.cumsum(counts) - counts
+        col = np.arange(row_of.shape[0]) - firsts[row_of]
+        width = int(counts.max())
+        angles = np.zeros((num_rows, width))
+        arrivals = np.zeros((num_rows, width))
+        confidences = np.zeros((num_rows, width))
+        angles[row_of, col] = self._angles[pair]
+        arrivals[row_of, col] = self._arrivals[pair]
+        confidences[row_of, col] = self._confidences[pair]
+        # sum() starts from 0 and adds floats left to right (CPython up
+        # to 3.11): a leading +0.0 column, then the weights, padding as
+        # exact +0.0 no-ops.
+        weights = np.zeros((num_rows, width + 1))
+        weights[row_of, col + 1] = self._weights[pair]
+        r_values = np.cumsum(weights, axis=1)[:, -1]
+        estds = batch_expected_std(
+            DiversitySlab(
+                betas=self._betas[ranks],
+                starts=self._starts[ranks],
+                ends=self._ends[ranks],
+                counts=counts,
+                angles=angles,
+                arrivals=arrivals,
+                confidences=confidences,
+            )
+        )
+        return r_values, estds
 
 
 def chunk_ranges(count: int, chunks: int) -> List[Tuple[int, int]]:
@@ -280,11 +367,16 @@ class SamplingSolver(Solver):
         return self.plan.resolve(problem.log_population_size())
 
     def solve(self, problem: RdbscProblem, rng: RngLike = None) -> SolverResult:
+        from repro.engine.profile import phase
+
         generator = make_rng(rng)
         k = self.resolve_sample_count(problem)
         pool = self.scored_sample_pool(problem, generator, k)
-        best = best_index_by_dominance(pool.scores)
-        return self._finish(problem, pool.assignment(best), {"samples": float(k)})
+        with phase("select"):
+            best = best_index_by_dominance(pool.scores)
+            return self._finish(
+                problem, pool.assignment(best), {"samples": float(k)}
+            )
 
     def scored_sample_pool(
         self,
@@ -300,10 +392,15 @@ class SamplingSolver(Solver):
         generator state, sample ``i`` here is bit-identical to sample
         ``i`` of :meth:`solve` — inline and at any executor pool size.
         """
+        from repro.engine.profile import phase
+
         base_seed = substream_base_seed(generator)
-        if self.executor is not None:
-            scores = self.executor.scored_sample_chunks(problem, base_seed, count)
-        else:
-            block = SampleChunkScorer(problem).score_range(base_seed, 0, count)
-            scores = [tuple(row) for row in block.tolist()]
+        with phase("sample_score"):
+            if self.executor is not None:
+                scores = self.executor.scored_sample_chunks(
+                    problem, base_seed, count
+                )
+            else:
+                block = SampleChunkScorer(problem).score_range(base_seed, 0, count)
+                scores = [tuple(row) for row in block.tolist()]
         return SamplePool(scores, problem, base_seed)

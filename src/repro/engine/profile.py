@@ -34,7 +34,10 @@ from contextlib import contextmanager
 #: The phase names the engines report (solvers add none beyond these).
 #: Purely documentation — the profiler accepts any name.  ``select`` is
 #: the greedy round's bookkeeping (dominance ranking, the commit, and
-#: candidate materialisation / table maintenance).  ``diff_ship``
+#: candidate materialisation / table maintenance) and SAMPLING's pick
+#: (dominance ranking, re-drawing and re-scoring the winner);
+#: ``sample_score`` is SAMPLING drawing and scoring its K samples, inline
+#: or through a pool fan-out.  ``diff_ship``
 #: (building + packing resident shard diffs) and ``rebalance`` (topology
 #: reshapes and the entity re-routing they trigger) are reported by the
 #: elastic engine only (:mod:`repro.engine.elastic`).
@@ -45,6 +48,7 @@ PHASES = (
     "prune",
     "delta_min_r",
     "delta_estd",
+    "sample_score",
     "select",
     "merge",
     "wal_append",

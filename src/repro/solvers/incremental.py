@@ -434,21 +434,25 @@ class WarmStartSamplingSolver(WarmStartSolver):
         signatures: Optional[Dict[int, Signature]] = None,
     ) -> SolverResult:
         """Pick the dominance winner among carried plan + fresh samples."""
+        from repro.engine.profile import phase
+
         base = self.base
         assert isinstance(base, SamplingSolver)
         generator = make_rng(rng)
         carried = self.carried_candidate(problem, plan)
         fresh = self.fresh_sample_count(problem)
         sample_pool = base.scored_sample_pool(problem, generator, fresh)
-        carried_value = evaluate_assignment(problem, carried)
-        pool_scores = [
-            (carried_value.min_reliability, carried_value.total_std)
-        ] + list(sample_pool.scores)
-        best = best_index_by_dominance(pool_scores)
-        winner = carried if best == 0 else sample_pool.assignment(best - 1)
+        with phase("select"):
+            carried_value = evaluate_assignment(problem, carried)
+            pool_scores = [
+                (carried_value.min_reliability, carried_value.total_std)
+            ] + list(sample_pool.scores)
+            best = best_index_by_dominance(pool_scores)
+            winner = carried if best == 0 else sample_pool.assignment(best - 1)
+            objective = evaluate_assignment(problem, winner)
         return SolverResult(
             assignment=winner,
-            objective=evaluate_assignment(problem, winner),
+            objective=objective,
             stats={
                 "warm": 1.0,
                 "samples": float(fresh),

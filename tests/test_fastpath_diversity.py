@@ -365,6 +365,7 @@ class TestPhaseProfiler:
             "prune",
             "delta_min_r",
             "delta_estd",
+            "sample_score",
             "select",
             "merge",
             "wal_append",

@@ -15,7 +15,9 @@ What is pinned here:
   knob.
 * **Chunk-scorer equivalence** — :class:`SampleChunkScorer` produces the
   exact floats of :func:`repro.core.objectives.evaluate_assignment` for
-  every drawn sample (the memo only skips recomputation).
+  every drawn sample (deduplicating per-task worker sets only skips
+  recomputation), including three-word masks, certain and null workers,
+  β at 0 and 1, K=1 and an empty candidate table.
 * **Dead-pool recovery** — a SIGKILLed pinned child costs one inline
   re-score, not the epoch; the next fan-out runs on fresh processes.
 * **Engine wiring** — engines (plain, sharded, warm) with a
@@ -42,6 +44,7 @@ from repro.algorithms.random_assign import (
     draw_random_assignment,
     draw_random_assignment_batch,
 )
+from repro.algorithms import sampling
 from repro.algorithms.sampling import (
     SUBSTREAM_V1,
     SampleChunkScorer,
@@ -71,7 +74,7 @@ def reference_sample_scores(problem, rng, k):
     """The ``k`` substream samples, materialised, and their scores.
 
     Drawn one worker at a time and scored with ``evaluate_assignment`` —
-    no candidate table, no grouping, no memo.
+    no candidate table, no grouping, no deduplication.
     """
     base = substream_base_seed(make_rng(rng))
     samples = [
@@ -350,19 +353,151 @@ class TestDeadPoolRecovery:
 # --------------------------------------------------------------------- #
 
 
+def oracle_block(problem, base, lo, hi):
+    """``evaluate_assignment`` scores of substream samples ``lo..hi-1``."""
+    values = [
+        evaluate_assignment(
+            problem, draw_random_assignment(problem, substream_rng(base, index))
+        )
+        for index in range(lo, hi)
+    ]
+    return np.asarray(
+        [(v.min_reliability, v.total_std) for v in values], dtype=np.float64
+    ).reshape(-1, 2)
+
+
+def assert_bitwise(block, reference):
+    """Equal bit patterns: also tells ``-0.0`` from ``+0.0``."""
+    assert block.shape == reference.shape
+    assert np.array_equal(block.view(np.int64), reference.view(np.int64))
+
+
+@st.composite
+def corner_cases(draw):
+    """An instance mixing the scorer's float corner cases.
+
+    Certain (confidence 1.0: infinite Eq. 8 weight) and null (0.0: weight
+    ``-0.0``) workers, β exactly 0 or 1, and arrivals that often tie, so a
+    task's profile order (not only its set) decides the E[STD] bits.
+    """
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    n_tasks = draw(st.integers(min_value=1, max_value=4))
+    n_workers = draw(st.integers(min_value=1, max_value=10))
+    task_ids = draw(st.permutations(range(n_tasks)))
+    worker_ids = draw(st.permutations(range(n_workers)))
+    tasks = [
+        make_task(
+            i, x=draw(unit), y=draw(unit),
+            beta=draw(st.sampled_from([0.0, 1.0]) | unit),
+        )
+        for i in task_ids
+    ]
+    workers = [
+        make_worker(
+            j, x=draw(unit), y=draw(unit),
+            confidence=draw(
+                st.sampled_from([0.0, 1.0])
+                | st.floats(min_value=0.01, max_value=0.35)
+            ),
+        )
+        for j in worker_ids
+    ]
+    edges = draw(
+        st.sets(
+            st.tuples(
+                st.integers(0, n_tasks - 1), st.integers(0, n_workers - 1)
+            ),
+            max_size=n_tasks * n_workers,
+        )
+    )
+    arrival = st.sampled_from([1.0, 2.5, 4.0]) | st.floats(0.0, 10.0)
+    pairs = [ValidPair(t, w, draw(arrival)) for t, w in sorted(edges)]
+    problem = RdbscProblem(tasks, workers, precomputed_pairs=pairs)
+    k = draw(st.integers(min_value=1, max_value=10))
+    lo = draw(st.integers(min_value=0, max_value=3))
+    return problem, lo, lo + k, draw(st.integers(0, 2**32 - 1))
+
+
+def wide_task_case(seed, n_workers=140):
+    """One task every worker can serve (three 62-bit mask words) + two more.
+
+    The wide task's workers are unreliable (confidence 0.0 or at most
+    0.01), so its ``R`` over a hundred-odd workers stays small enough that
+    an ulp of it — its summation order — shows in the sample's minimum
+    reliability; each of the other two tasks always holds a certain
+    worker (``R = inf``).  Workers share a few spots and a few arrivals,
+    so profiles tie in angle and arrival and their order decides E[STD].
+    """
+    rng = np.random.default_rng(seed)
+    tasks = [make_task(int(i), x=rng.uniform(), y=rng.uniform(), beta=b)
+             for i, b in zip(rng.permutation(3), (0.5, 0.0, 1.0))]
+    spots = rng.uniform(size=(6, 2))
+    workers = [
+        make_worker(
+            int(j), x=spots[j % 6, 0], y=spots[j % 6, 1],
+            confidence=float(rng.choice([0.0, rng.uniform(0.001, 0.01)])),
+        )
+        for j in rng.permutation(n_workers)
+    ]
+    workers += [make_worker(n_workers + t, confidence=1.0) for t in (0, 1)]
+    arrival = lambda: float(rng.integers(1, 4))
+    pairs = [ValidPair(0, w, arrival()) for w in range(n_workers)]
+    pairs += [ValidPair(t + 1, n_workers + t, arrival()) for t in (0, 1)]
+    pairs += [
+        ValidPair(t, w, arrival())
+        for t in (1, 2)
+        for w in range(n_workers)
+        if rng.uniform() < 0.2
+    ]
+    return RdbscProblem(tasks, workers, precomputed_pairs=pairs)
+
+
 class TestSampleChunkScorer:
     def test_scores_equal_evaluate_assignment(self):
         problem = problem_for(seed=7)
         scorer = SampleChunkScorer(problem)
         base = 424242
-        block = scorer.score_range(base, 0, 20)
-        for index in range(20):
-            assignment = draw_random_assignment(problem, substream_rng(base, index))
-            value = evaluate_assignment(problem, assignment)
-            assert block[index, 0] == value.min_reliability
-            assert block[index, 1] == value.total_std
-        # The memo genuinely engaged and changed nothing above.
-        assert scorer.memo_hits > 0
+        assert_bitwise(scorer.score_range(base, 0, 20), oracle_block(problem, base, 0, 20))
+        # Deduplication engaged (fewer rows scored than (sample, task)
+        # groups) and changed nothing above.
+        assert 0 < scorer.distinct_rows < scorer.groups
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=corner_cases())
+    def test_corner_cases_equal_evaluate_assignment(self, case):
+        problem, lo, hi, base = case
+        block = SampleChunkScorer(problem).score_range(base, lo, hi)
+        assert_bitwise(block, oracle_block(problem, base, lo, hi))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_wide_task_three_mask_words(self, seed):
+        problem = wide_task_case(seed)
+        assert len(problem.candidate_workers(0)) > 2 * 62
+        scorer = SampleChunkScorer(problem)
+        block = scorer.score_range(seed, 0, 6)
+        assert_bitwise(block, oracle_block(problem, seed, 0, 6))
+        assert scorer.groups >= 6
+
+    def test_blocked_range_equals_one_pass(self, monkeypatch):
+        problem = problem_for(seed=5)
+        whole = SampleChunkScorer(problem).score_range(11, 2, 30)
+        monkeypatch.setattr(sampling, "_BLOCK_CELLS", 100)
+        scorer = SampleChunkScorer(problem)
+        assert_bitwise(scorer.score_range(11, 2, 30), whole)
+        assert_bitwise(whole, oracle_block(problem, 11, 2, 30))
+        assert 0 < scorer.distinct_rows <= scorer.groups
+
+    def test_single_sample_and_certain_workers(self):
+        # K=1, and every task holding a certain worker: min R is +inf,
+        # so the reliability is exactly 1.0 as evaluate_assignment says.
+        tasks = [make_task(i, x=0.2 * i, beta=b) for i, b in enumerate((0.0, 1.0))]
+        workers = [make_worker(j, confidence=1.0) for j in range(3)]
+        pairs = [ValidPair(t, w, 1.0 + w) for t in range(2) for w in range(3)]
+        problem = RdbscProblem(tasks, workers, precomputed_pairs=pairs)
+        for base in range(5):
+            block = SampleChunkScorer(problem).score_range(base, 0, 1)
+            assert_bitwise(block, oracle_block(problem, base, 0, 1))
+            assert block[0, 0] == 1.0
 
     def test_empty_candidate_table(self):
         problem = problem_for(seed=7)
@@ -374,7 +509,9 @@ class TestSampleChunkScorer:
         )
         scorer = SampleChunkScorer(no_pairs)
         block = scorer.score_range(1, 0, 3)
-        assert np.array_equal(block, np.zeros((3, 2)))
+        assert_bitwise(block, np.zeros((3, 2)))
+        assert_bitwise(block, oracle_block(no_pairs, 1, 0, 3))
+        assert scorer.groups == scorer.distinct_rows == 0
         assert empty.num_pairs == problem.num_pairs  # unrelated sanity
 
     def test_problem_wire_roundtrip(self):

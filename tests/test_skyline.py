@@ -1,10 +1,14 @@
 """Unit and property tests for the dominance/skyline substrate."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.skyline.dominance import (
+    _VECTOR_RANK_MIN,
+    _dominance_matrix,
+    EPS,
     best_index_by_dominance,
     dominance_counts,
     dominates_tuple,
@@ -98,3 +102,61 @@ class TestBestIndex:
     def test_winner_is_on_skyline(self, points):
         winner = best_index_by_dominance(points)
         assert winner in skyline_indices(points)
+
+
+def scalar_pick(points):
+    """The pairwise-loop pick: skyline, counts, then the tie-break."""
+    sky = skyline_indices(points)
+    counts = dominance_counts(points)
+    return max(sky, key=lambda i: (counts[i], points[i], -i))
+
+
+#: Coordinates a few base values apart, each nudged by 0, +-0.5e-12,
+#: +-1e-12 or +-2e-12: every gap sits below, on or above ``EPS``.
+near_coordinate = st.builds(
+    lambda base, nudge: base + nudge,
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.75]),
+    st.sampled_from([0.0, 0.5e-12, -0.5e-12, 1e-12, -1e-12, 2e-12, -2e-12]),
+)
+near_tie_lists = st.lists(
+    st.tuples(near_coordinate, near_coordinate),
+    min_size=1,
+    max_size=2 * _VECTOR_RANK_MIN + 4,
+)
+
+
+class TestVectorRank:
+    """The numpy rank above ``_VECTOR_RANK_MIN`` equals the pairwise loop."""
+
+    @settings(max_examples=200)
+    @given(near_tie_lists)
+    def test_matrix_equals_dominates_tuple(self, points):
+        matrix = _dominance_matrix(points, EPS)
+        for i, a in enumerate(points):
+            for j, b in enumerate(points):
+                assert matrix[i, j] == (i != j and dominates_tuple(a, b))
+
+    @settings(max_examples=200)
+    @given(near_tie_lists)
+    def test_pick_equals_scalar_near_ties(self, points):
+        assert best_index_by_dominance(points) == scalar_pick(points)
+
+    @pytest.mark.parametrize(
+        "n", [_VECTOR_RANK_MIN - 1, _VECTOR_RANK_MIN, _VECTOR_RANK_MIN + 1, 64, 256]
+    )
+    def test_pick_equals_scalar_both_sides_of_gate(self, n):
+        rng = np.random.default_rng(n)
+        base = rng.uniform(size=(n, 2))
+        # Snap a third of the rows onto another row plus a sub-, on- or
+        # super-EPS gap, and duplicate a few exactly.
+        for row in rng.choice(n, size=n // 3, replace=False):
+            other = rng.integers(n)
+            base[row] = base[other] + rng.choice([0.0, 0.5e-12, 1e-12, 2e-12], size=2)
+        points = [tuple(p) for p in base.tolist()]
+        points += points[: max(1, n // 8)]
+        assert best_index_by_dominance(points) == scalar_pick(points)
+
+    @pytest.mark.parametrize("n", [_VECTOR_RANK_MIN - 1, _VECTOR_RANK_MIN, 40])
+    def test_all_equal_picks_first(self, n):
+        points = [(0.75, 2.0)] * n
+        assert best_index_by_dominance(points) == scalar_pick(points) == 0

@@ -93,12 +93,16 @@ def substream_rng(base_seed: int, index: int) -> np.random.Generator:
 #: encodes in ``ceil(degree / 62)`` non-negative ``int64`` words.
 _MASK_BITS = 62
 
-#: Rough cell budget of one scoring block's ``(samples, tasks)`` and
-#: ``(samples, workers)`` matrices: a range is scored in blocks of at most
-#: this many cells (one block at engine-sized K), keeping a 10 000-sample
-#: budget's temporaries in the tens of megabytes.  Samples are scored
-#: independently, so blocking cannot change a bit.
-_BLOCK_CELLS = 1 << 20
+#: Rough cell budget of one scoring block's ``(samples, tasks x mask
+#: words)`` and ``(samples, workers)`` matrices: a range is scored in
+#: blocks of at most this many cells (one block at engine-sized K).  The
+#: largest temporaries are the E[STD] slab's per-row term matrices, which
+#: grow with the block's distinct rows; measured peak RSS growth for a
+#: 10 000-sample range is ~15 MiB on ``sample_pool``'s 110 x 211 problems
+#: and ~65 MiB on a dense 60 x 524 instance (every task ~9 members per
+#: sample).  Samples are scored independently, so blocking cannot change
+#: a bit.
+_BLOCK_CELLS = 1 << 18
 
 
 class SampleChunkScorer:
@@ -120,10 +124,10 @@ class SampleChunkScorer:
        recurs many times and is scored once;
     3. the distinct rows are scored as one
        :class:`~repro.fastpath.diversity.DiversitySlab` through the
-       bitwise :func:`~repro.fastpath.diversity.batch_expected_std`, and
-       each row's Eq. 8 sum ``R`` is the last column of a sequential
-       ``cumsum`` that starts from ``+0.0`` — the float additions of
-       ``sum()``;
+       bitwise :func:`~repro.fastpath.diversity.batch_expected_std`
+       (each row's members read off its first group's draws), and each
+       row's Eq. 8 sum ``R`` is the builtin ``sum()`` of its weights, as
+       in ``evaluate_assignment``;
     4. the rows are scattered back into ``(samples, tasks)`` matrices in
        the problem's task order, where ``total E[STD]`` is again a
        sequential ``cumsum`` (absent tasks add an exact ``+0.0``) and the
@@ -150,12 +154,11 @@ class SampleChunkScorer:
         # is its position among its task's candidates.
         by_task = np.lexsort((pair_workers, pair_ranks))
         task_degrees = np.bincount(pair_ranks, minlength=self._num_tasks)
-        self._task_starts = np.cumsum(task_degrees) - task_degrees
+        task_starts = np.cumsum(task_degrees) - task_degrees
         slots = np.empty(by_task.shape[0], dtype=np.int64)
-        slots[by_task] = (
-            np.arange(by_task.shape[0]) - self._task_starts[pair_ranks[by_task]]
-        )
+        slots[by_task] = np.arange(by_task.shape[0]) - task_starts[pair_ranks[by_task]]
         self._pair_ranks = pair_ranks
+        self._pair_positions = task_starts[pair_ranks] + slots
         self._pair_words = slots // _MASK_BITS
         self._pair_bits = np.left_shift(1, slots % _MASK_BITS, dtype=np.int64)
         self._words = max(1, -(-int(task_degrees.max(initial=0)) // _MASK_BITS))
@@ -182,7 +185,6 @@ class SampleChunkScorer:
         self._betas = np.asarray([t.beta for t in problem.tasks], dtype=np.float64)
         self._starts = np.asarray([t.start for t in problem.tasks], dtype=np.float64)
         self._ends = np.asarray([t.end for t in problem.tasks], dtype=np.float64)
-        self._shifts = np.arange(_MASK_BITS, dtype=np.int64)
         self.groups = 0
         self.distinct_rows = 0
 
@@ -208,11 +210,11 @@ class SampleChunkScorer:
             [substream_rng(base_seed, i).integers(0, degrees) for i in range(lo, hi)]
         )
         num_tasks, words = self._num_tasks, self._words
-        cells = np.arange(count)[:, None] * num_tasks + self._pair_ranks[pairs]
+        cells = (np.arange(count)[:, None] * num_tasks + self._pair_ranks[pairs]).ravel()
+        pairs = pairs.ravel()
         masks = np.zeros((count * num_tasks, words), dtype=np.int64)
         np.bitwise_or.at(
-            masks, (cells.ravel(), self._pair_words[pairs].ravel()),
-            self._pair_bits[pairs].ravel(),
+            masks, (cells, self._pair_words[pairs]), self._pair_bits[pairs]
         )
         present = np.flatnonzero(masks.any(axis=1))
         ranks = present % num_tasks
@@ -220,13 +222,23 @@ class SampleChunkScorer:
         # One opaque byte string per row: np.unique sorts these far faster
         # than it sorts rows with axis=0; the order is irrelevant here.
         row_bytes = np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))
-        uniques, inverse = np.unique(
-            keys.view(row_bytes).reshape(-1), return_inverse=True
+        _, firsts, inverse = np.unique(
+            keys.view(row_bytes).reshape(-1), return_index=True, return_inverse=True
         )
-        rows = uniques.view(np.int64).reshape(-1, keys.shape[1])
+        num_rows = firsts.shape[0]
         self.groups += int(present.shape[0])
-        self.distinct_rows += int(rows.shape[0])
-        r_values, estds = self._score_rows(rows)
+        self.distinct_rows += num_rows
+        # Each distinct row's members are the draws of its first (sample,
+        # task) group, so the masks are never decoded back into slots.
+        row_of_cell = np.full(count * num_tasks, -1)
+        row_of_cell[present[firsts]] = np.arange(num_rows)
+        entry_rows = row_of_cell[cells]
+        members = np.flatnonzero(entry_rows >= 0)
+        r_values, estds = self._score_rows(
+            ranks[firsts],
+            entry_rows[members],
+            self._pair_positions[pairs[members]],
+        )
         samples = present // num_tasks
         r_matrix = np.full((count, num_tasks), np.inf)
         s_matrix = np.zeros((count, num_tasks))
@@ -235,37 +247,43 @@ class SampleChunkScorer:
         # Task-order accumulation: cumsum is sequential (np.sum is
         # pairwise and would change bits); absent tasks add +0.0.
         out[:, 1] = np.cumsum(s_matrix, axis=1)[:, -1]
-        # R >= +0.0 (sums start from +0.0), so evaluate_assignment's clamp
+        # R >= 0 (weights are >= 0), so evaluate_assignment's clamp
         # at 0.0 is a no-op; log_to_reliability maps +inf (a certain
         # worker) to 1.0 and everything else through math.exp.
         out[:, 0] = [log_to_reliability(r) for r in r_matrix.min(axis=1).tolist()]
         return out
 
-    def _score_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(R, E[STD])`` of each distinct ``(task rank, mask words...)`` row."""
-        num_rows = rows.shape[0]
-        ranks = rows[:, 0]
-        bits = (rows[:, 1:, None] >> self._shifts) & 1
-        # Row-major nonzero: each row's slots ascending, i.e. its chosen
-        # workers in ascending worker id.
-        row_of, slot = np.nonzero(bits.reshape(num_rows, -1))
-        pair = self._task_starts[ranks[row_of]] + slot
+    def _score_rows(
+        self, ranks: np.ndarray, row_of: np.ndarray, positions: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(R, E[STD])`` of each distinct row.
+
+        ``ranks`` holds each row's task rank; ``row_of`` and ``positions``
+        list the rows' members (any order) as (row, task-major position).
+        """
+        num_rows = ranks.shape[0]
+        # By row, then position: each row's workers in ascending worker id.
+        order = np.lexsort((positions, row_of))
+        row_of, positions = row_of[order], positions[order]
         counts = np.bincount(row_of, minlength=num_rows)
-        firsts = np.cumsum(counts) - counts
+        ends = np.cumsum(counts)
+        firsts = ends - counts
         col = np.arange(row_of.shape[0]) - firsts[row_of]
         width = int(counts.max())
         angles = np.zeros((num_rows, width))
         arrivals = np.zeros((num_rows, width))
         confidences = np.zeros((num_rows, width))
-        angles[row_of, col] = self._angles[pair]
-        arrivals[row_of, col] = self._arrivals[pair]
-        confidences[row_of, col] = self._confidences[pair]
-        # sum() starts from 0 and adds floats left to right (CPython up
-        # to 3.11): a leading +0.0 column, then the weights, padding as
-        # exact +0.0 no-ops.
-        weights = np.zeros((num_rows, width + 1))
-        weights[row_of, col + 1] = self._weights[pair]
-        r_values = np.cumsum(weights, axis=1)[:, -1]
+        angles[row_of, col] = self._angles[positions]
+        arrivals[row_of, col] = self._arrivals[positions]
+        confidences[row_of, col] = self._confidences[positions]
+        # Eq. 8's R with the builtin sum() evaluate_assignment uses, over
+        # the same floats in the same order: equal bits on every Python
+        # (3.12's sum() compensates, a plain running sum does not).
+        weights = self._weights[positions].tolist()
+        r_values = np.asarray(
+            [sum(weights[a:b]) for a, b in zip(firsts.tolist(), ends.tolist())],
+            dtype=np.float64,
+        )
         estds = batch_expected_std(
             DiversitySlab(
                 betas=self._betas[ranks],

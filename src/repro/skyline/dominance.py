@@ -23,12 +23,13 @@ EPS = 1e-12
 
 #: From this many candidates :func:`best_index_by_dominance` builds the
 #: whole dominance relation as one numpy matrix instead of the pairwise
-#: Python loop.  Below it (GREEDY's per-round lists: a handful of pairs)
-#: the loop is cheaper than the array set-up; a SAMPLING pool of K
-#: samples is above it.  Both paths pick the same index.  Measured on a
-#: 2-core x86 host: 8 candidates 24 us loop vs 20 us matrix, 12: 32 vs
-#: 22 us, 256: 11.4 ms vs 0.35 ms.
-_VECTOR_RANK_MIN = 12
+#: Python loop; both paths pick the same index.  The gate is the measured
+#: crossover: the matrix costs a flat ~20 us of array set-up, which the
+#: loop undercuts on GREEDY's typical per-round lists (mean ~5.5 pairs).
+#: Per call on a 2-core x86 host (random lists, best of 5), loop vs
+#: matrix: n=2 4 vs 19 us, 5: 10 vs 20, 7: 16 vs 20, 8: 23 vs 21,
+#: 12: 35 vs 23, 20: 83 vs 32, 256: 11.4 ms vs 0.35 ms.
+_VECTOR_RANK_MIN = 8
 
 Score = Tuple[float, float]
 

@@ -29,6 +29,8 @@ The golden fixture (``tests/fixtures/golden_small.json``) additionally
 pins the substream contract's exact objectives.
 """
 
+import builtins
+import math
 import os
 import signal
 
@@ -452,6 +454,31 @@ def wide_task_case(seed, n_workers=140):
     return RdbscProblem(tasks, workers, precomputed_pairs=pairs)
 
 
+def compensated_sum(iterable, start=0):
+    """A Neumaier-compensated ``sum()`` over floats, as Python 3.12's is.
+
+    Anything other than a start of ``0`` and all-``float`` items goes to
+    the plain builtin, so the stand-in only changes float sums.
+    """
+    items = list(iterable)
+    if start != 0 or not items or any(type(x) is not float for x in items):
+        return PLAIN_SUM(items, start)
+    total, compensation = 0.0 + items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+PLAIN_SUM = sum
+
+
 class TestSampleChunkScorer:
     def test_scores_equal_evaluate_assignment(self):
         problem = problem_for(seed=7)
@@ -477,6 +504,21 @@ class TestSampleChunkScorer:
         block = scorer.score_range(seed, 0, 6)
         assert_bitwise(block, oracle_block(problem, seed, 0, 6))
         assert scorer.groups >= 6
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_r_is_the_builtin_sum_on_any_python(self, seed, monkeypatch):
+        # evaluate_assignment's R is the builtin sum(), which compensates
+        # from Python 3.12 on; the scorer must follow it, not a running
+        # sum.  Swap a compensated sum in for both and compare.
+        problem = wide_task_case(seed)
+        plain = SampleChunkScorer(problem).score_range(seed, 0, 6)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        block = SampleChunkScorer(problem).score_range(seed, 0, 6)
+        reference = oracle_block(problem, seed, 0, 6)
+        monkeypatch.undo()
+        assert_bitwise(block, reference)
+        # The swap moved a minimum reliability, so the case has teeth.
+        assert not np.array_equal(block.view(np.int64), plain.view(np.int64))
 
     def test_blocked_range_equals_one_pass(self, monkeypatch):
         problem = problem_for(seed=5)

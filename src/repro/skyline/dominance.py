@@ -26,10 +26,11 @@ EPS = 1e-12
 #: Python loop; both paths pick the same index.  The gate is the measured
 #: crossover: the matrix costs a flat ~20 us of array set-up, which the
 #: loop undercuts on GREEDY's typical per-round lists (mean ~5.5 pairs).
-#: Per call on a 2-core x86 host (random lists, best of 5), loop vs
-#: matrix: n=2 4 vs 19 us, 5: 10 vs 20, 7: 16 vs 20, 8: 23 vs 21,
-#: 12: 35 vs 23, 20: 83 vs 32, 256: 11.4 ms vs 0.35 ms.
-_VECTOR_RANK_MIN = 8
+#: Per call on a 2-core x86 host, loop vs matrix, timed on the lists
+#: GREEDY ranks on ``solve_full`` (30 epochs, two runs): n=5 13 vs 20-30
+#: us, 8: 18-19 vs 19-20, 9: 20 vs 20, 10: 23-24 vs 20-24, 12: 30-33 vs
+#: 20-30; on random lists 256 candidates take 11.4 ms vs 0.35 ms.
+_VECTOR_RANK_MIN = 10
 
 Score = Tuple[float, float]
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithms.base import RngLike, Solver
 from repro.algorithms.sampling import SamplingSolver
@@ -58,6 +58,7 @@ from repro.engine import events as ev
 from repro.engine import durable as dur
 from repro.engine.metrics import EngineMetrics, EpochRecord
 from repro.engine.profile import PhaseProfiler, activated
+from repro.engine.scheduler import EventQueue, coalesce_churn
 from repro.fastpath.arrays import WorkerSlots
 from repro.solvers.incremental import (
     EpochDelta,
@@ -633,8 +634,6 @@ class AssignmentEngine:
         the batch one event at a time.  Epoch ticks return their results
         in order.
         """
-        from repro.engine.scheduler import coalesce_churn
-
         results: List[EpochResult] = []
         with self.profiler.phase("coalesce"):
             grouped = list(coalesce_churn(events))
@@ -657,28 +656,17 @@ class AssignmentEngine:
                     results.append(outcome)
         return results
 
-    def process(self, queue_or_events) -> List[EpochResult]:
-        """Drain an :class:`~repro.engine.scheduler.EventQueue` (or any
-        pre-ordered event iterable); returns the epoch results in order.
+    def process(self, queue: EventQueue) -> List[EpochResult]:
+        """Drain an :class:`~repro.engine.scheduler.EventQueue`; returns
+        the epoch results in order.
 
-        A queue exposing ``drain_instants`` is consumed as per-instant
-        batches through :meth:`apply_batch` (identical outcomes, grouped
-        index maintenance); anything else is applied event by event.
+        The queue is consumed as per-instant batches through
+        :meth:`apply_batch` (identical outcomes to applying it event by
+        event, with grouped index maintenance).
         """
-        instants = getattr(queue_or_events, "drain_instants", None)
-        if instants is not None:
-            results: List[EpochResult] = []
-            for batch in instants():
-                results.extend(self.apply_batch(batch))
-            return results
-        events: Iterable[ev.Event]
-        drain = getattr(queue_or_events, "drain", None)
-        events = drain() if drain is not None else queue_or_events
-        results = []
-        for event in events:
-            outcome = self.apply(event)
-            if outcome is not None:
-                results.append(outcome)
+        results: List[EpochResult] = []
+        for batch in queue.drain_instants():
+            results.extend(self.apply_batch(batch))
         return results
 
     # ------------------------------------------------------------------ #

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.core.problem import ValidPair
 from repro.core.task import SpatialTask
 from repro.core.validity import ValidityRule
@@ -36,18 +34,12 @@ from repro.index.cell import GridCell
 #: shorter lists costs more than the handful of dead probes they can hold.
 COMPACT_MIN_MEMBERS = 4
 
-#: Slack widening the vectorised group-reach screen's deadline comparison.
-#: The ``np.hypot``-based distances can drift from their ``math.hypot``
-#: twins by ulps; the slack turns any drift into a kept candidate — whose
-#: membership the exact per-worker check then decides with scalar
-#: arithmetic — and never a silently skipped reachable cell.
-_SCREEN_SLACK = 1e-9
-
-#: Smallest candidate-cell count worth the vectorised group-reach screen.
-#: Below it (per-shard sub-grids, sparse instances) the scalar sweep over
-#: cached cell-pair distances is faster than the array set-up; above it
-#: (one big grid under heavy movement churn) the array screen wins.
-_VECTOR_SCREEN_MIN = 96
+#: Stale-member fraction at which a cached ``tcell_list`` is rebuilt tight.
+#: Superset maintenance never shrinks a list, so long churn accumulates
+#: members that only ever yield dead probes; once this share of a list
+#: (of at least ``COMPACT_MIN_MEMBERS``) is stale, the next retrieval
+#: rebuilds it.
+COMPACT_STALE_RATIO = 0.5
 
 
 def cell_coords(point: Point, eta: float, n_cols: int) -> Tuple[int, int]:
@@ -86,12 +78,9 @@ class RdbscGrid:
         eta: cell side length; the Appendix I cost model supplies good
             values (see :func:`repro.index.cost_model.optimal_eta`).
         validity: pair-validity policy used by retrieval and by the exact
-            confirmation step of ``tcell_list`` construction.
-        exact_confirm: when true (default), cells surviving the aggregate
-            pruning are confirmed by an exact worker-task probe before
-            entering a ``tcell_list``, keeping lists tight; when false the
-            lists are supersets built from pruning alone (cheaper updates,
-            more retrieval probes).
+            confirmation step of ``tcell_list`` construction: cells
+            surviving the aggregate pruning enter a freshly built list
+            only once an exact worker-task probe confirms them.
         backend: ``"python"`` probes surviving (worker cell, task cell)
             combinations with the scalar validity rule pair by pair;
             ``"numpy"`` batches each worker cell's probes through the
@@ -101,36 +90,24 @@ class RdbscGrid:
             task-major within a batch).  The kernels read the two
             cells' resident column blocks, packed once per change of a
             cell, not per probe; the python backend builds no block.
-        compact_stale_ratio: superset ``tcell_list`` maintenance never
-            shrinks a cached list, so week-long churn accumulates members
-            that only ever yield dead probes; when the fraction of such
-            members reaches this ratio (and the list has at least
-            ``COMPACT_MIN_MEMBERS`` members) the list is rebuilt tight at
-            the next retrieval.  ``None`` disables compaction.
+
+    Cached lists are kept as safe supersets under churn and rebuilt tight
+    once ``COMPACT_STALE_RATIO`` of their members has gone stale.
     """
 
     def __init__(
         self,
         eta: float,
         validity: Optional[ValidityRule] = None,
-        exact_confirm: bool = True,
         backend: str = "python",
-        compact_stale_ratio: Optional[float] = 0.5,
     ) -> None:
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {eta}")
         if backend not in ("python", "numpy"):
             raise ValueError(f"unknown backend {backend!r}")
-        if compact_stale_ratio is not None and not 0.0 < compact_stale_ratio <= 1.0:
-            raise ValueError(
-                f"compact_stale_ratio must be in (0, 1] or None, "
-                f"got {compact_stale_ratio}"
-            )
         self.eta = eta
         self.validity = validity if validity is not None else ValidityRule()
-        self.exact_confirm = exact_confirm
         self.backend = backend
-        self.compact_stale_ratio = compact_stale_ratio
         self.n_cols = max(1, math.ceil(1.0 / eta))
         self._cells: Dict[int, GridCell] = {}
         self._task_cell: Dict[int, int] = {}
@@ -226,21 +203,8 @@ class RdbscGrid:
     # ------------------------------------------------------------------ #
 
     def insert_worker(self, worker: MovingWorker) -> None:
-        """O(1) placement plus an incremental tcell_list extension.
-
-        A new resident can only *extend* its cell's reachability, so a
-        cached tcell_list is kept and widened with a cheap single-worker
-        reachability sweep (no pair probes) instead of being rebuilt; the
-        cell's cached pair entries are dropped (the new worker may add
-        pairs to any of them).
-        """
-        if worker.worker_id in self._worker_cell:
-            raise ValueError(f"worker {worker.worker_id} already indexed")
-        cell = self.cell_at(worker.location)
-        cell.add_worker(worker)
-        self._worker_cell[worker.worker_id] = cell.cell_id
-        self._dirty_worker_cell(cell.cell_id)
-        self._extend_tcell_for_worker(cell.cell_id, worker)
+        """Index one worker: :meth:`insert_workers` with a batch of one."""
+        self.insert_workers((worker,))
 
     def remove_worker(self, worker_id: int) -> MovingWorker:
         """Remove a worker; the home cell's tcell_list is kept as a superset.
@@ -258,37 +222,28 @@ class RdbscGrid:
         return worker
 
     def update_worker(self, worker: MovingWorker) -> MovingWorker:
-        """Refresh an indexed worker's record; returns the previous record.
-
-        When the worker stays in its current grid cell this is an O(1)
-        in-place swap (the cell's aggregates go stale, its cached pair
-        entries are dropped, and the list is widened for the new record's
-        reach); a cross-cell move falls back to remove + insert.
+        """:meth:`update_workers` with a batch of one; returns the old record.
 
         Raises:
             KeyError: if the worker is not indexed.
         """
         cell_id = self._worker_cell[worker.worker_id]
-        cell = self._cells[cell_id]
-        row, col = self._coords_of(worker.location)
-        if self._cell_id(row, col) == cell_id:
-            old = cell.replace_worker(worker)
-            self._dirty_worker_cell(cell_id)
-            self._extend_tcell_for_worker(cell_id, worker)
-            return old
-        old = self.remove_worker(worker.worker_id)
-        self.insert_worker(worker)
+        old = self._cells[cell_id].workers[worker.worker_id]
+        self.update_workers((worker,))
         return old
 
     def update_workers(self, workers: Sequence[MovingWorker]) -> None:
-        """Batched :meth:`update_worker`: group same-cell refreshes per cell.
+        """Refresh indexed workers' records, grouping same-cell refreshes.
 
-        Cross-cell moves fall back to remove + insert individually; the
-        (typically dominant) same-cell refreshes are grouped so each
-        touched cell pays its pair-entry invalidation and its tcell_list
-        widening sweep *once* per batch instead of once per worker — the
-        amortisation the engine's batched per-instant event application
-        relies on.  Worker ids **must** be distinct within one batch —
+        A worker staying in its grid cell is swapped in place (the cell's
+        aggregates go stale, its cached pair entries are dropped, and its
+        list is widened for the new records' reach); a cross-cell move
+        falls back to remove + insert.  The (typically dominant) same-cell
+        refreshes are grouped so each touched cell pays its pair-entry
+        invalidation and its tcell_list widening sweep *once* per batch
+        instead of once per worker — the amortisation the engine's
+        batched per-instant event application relies on.  Worker ids
+        **must** be distinct within one batch —
         the engine's batch methods and the coalescer both guarantee it;
         a cross-cell duplicate would desynchronise the remove + insert
         bookkeeping.  The widened lists may differ from the sequential
@@ -325,10 +280,14 @@ class RdbscGrid:
             self._extend_tcell_for_workers(cell_id, group)
 
     def insert_workers(self, workers: Sequence[MovingWorker]) -> None:
-        """Batched :meth:`insert_worker`: one widening sweep per cell.
+        """Place workers and widen their cells' tcell_lists incrementally.
 
-        All workers are placed first; each destination cell then pays one
-        pair-entry invalidation and one group widening sweep, instead of
+        A new resident can only *extend* its cell's reachability, so a
+        cached tcell_list is kept and widened by a reachability sweep (no
+        pair probes) instead of being rebuilt, and the cell's cached pair
+        entries are dropped (the new workers may add pairs to any of
+        them).  All workers are placed first; each destination cell then
+        pays one invalidation and one group widening sweep, instead of
         one per arrival.  Duplicate ids (within the batch or already
         indexed) raise ValueError before any placement, so the cached
         lists are never left un-widened for a half-placed batch.
@@ -349,25 +308,21 @@ class RdbscGrid:
             self._extend_tcell_for_workers(cell_id, group)
 
     def insert_task(self, task: SpatialTask) -> None:
-        """Place a task and extend existing tcell_lists incrementally.
-
-        Every cached worker-cell list is probed once for the task's cell —
-        the paper's worst case of touching all workers, but amortised to a
-        single cell-level check per worker cell.
-        """
-        self._place_task(task)
-        self._link_task_cell(self._cells[self._task_cell[task.task_id]])
+        """Index one task: :meth:`insert_tasks` with a batch of one."""
+        self.insert_tasks((task,))
 
     def insert_tasks(self, tasks: Sequence[SpatialTask]) -> None:
-        """Batched :meth:`insert_task`: one list-extension pass per cell.
+        """Place tasks and extend existing tcell_lists incrementally.
 
         All tasks are placed first, then each *distinct* touched cell pays
-        a single sweep over the cached worker-cell lists — k same-cell
-        arrivals within one instant cost one cell-level check per worker
-        cell instead of k.  The resulting lists are a safe superset of the
-        sequential outcome (a grouped reachability check sees the cell's
-        full new content, which can only admit more members), so exact
-        retrieval probes return identical pairs either way.
+        a single sweep over the cached worker-cell lists: one cell-level
+        check per worker cell (the paper's worst case of touching all
+        workers, amortised), so k same-cell arrivals within one instant
+        cost one check per worker cell instead of k.  The resulting lists
+        are a safe superset of the sequential outcome (a grouped
+        reachability check sees the cell's full new content, which can
+        only admit more members), so exact retrieval probes return
+        identical pairs either way.
         """
         touched: Dict[int, GridCell] = {}
         for task in tasks:
@@ -446,14 +401,10 @@ class RdbscGrid:
 
         The tcell_list itself is kept — worker churn is handled by keeping
         lists as safe supersets (removals) and extending them with
-        single-worker sweeps (insertions), never by a full rebuild.
+        widening sweeps (insertions), never by a full rebuild.
         """
         for target in self._tcell.get(cell_id, ()):
             self._pair_cache.pop((cell_id, target), None)
-
-    def _extend_tcell_for_worker(self, cell_id: int, worker: MovingWorker) -> None:
-        """Widen a cached tcell_list with one new resident's own reach."""
-        self._extend_tcell_for_workers(cell_id, (worker,))
 
     def _extend_tcell_for_workers(
         self, cell_id: int, workers: Sequence[MovingWorker]
@@ -463,20 +414,14 @@ class RdbscGrid:
         Cells already listed stay (the old residents' reach is unchanged);
         cells off the list join when *any of the new workers alone* might
         serve a task there — a superset of the exact condition, kept
-        honest by the exact retrieval probes.  One pass over the unlisted
-        task-holding cells covers the whole group, and they are first
-        screened with a *vectorised* group-aggregate time bound (the
-        group's fastest worker, earliest departure, against the home
-        cell's rectangle distances and the candidates' latest deadlines —
-        the same Section 7.1 shape as :meth:`_cell_reachable`, evaluated
-        for every candidate in a handful of array operations rather than
-        a scalar loop per cell).  The screen's deadline comparison is
-        widened by :data:`_SCREEN_SLACK`, so it can only over-accept
-        relative to the scalar arithmetic; a kept candidate's membership
-        is still decided by the exact per-worker check.  Only the
-        surviving minority pays that per-worker work.  No-op without a
-        cached list (it will be built tight, lazily, on the next
-        retrieval).
+        honest by the exact retrieval probes.  One scalar pass over the
+        unlisted task-holding cells covers the whole group: each is first
+        screened with the group-aggregate time bound (the group's fastest
+        worker, earliest departure, against the cached cell-pair distance
+        and the candidate's latest deadline — the Section 7.1 shape of
+        :meth:`_cell_reachable`), and only the surviving minority pays the
+        per-worker check.  No-op without a cached list (it will be built
+        tight, lazily, on the next retrieval).
         """
         cached = self._tcell.get(cell_id)
         if cached is None:
@@ -484,54 +429,17 @@ class RdbscGrid:
         home = self._cells[cell_id]
         v_max = max(worker.velocity for worker in workers)
         depart_min = min(worker.depart_time for worker in workers)
-        candidates = [self._cells[target] for target in self._task_cells - cached]
-        if not candidates:
-            return
-        if len(candidates) < _VECTOR_SCREEN_MIN:
-            # Scalar sweep over the cached cell-pair distances: cheaper
-            # than array set-up for the short candidate lists of per-shard
-            # sub-grids, and the distance lookup is now O(1) per pair.
-            for candidate in candidates:
-                d_min = self.cell_pair_distance(home, candidate)
-                if d_min > 0.0:
-                    if v_max <= 0.0:
-                        continue
-                    if depart_min + d_min / v_max > candidate.e_max:
-                        continue  # even the group's best composite cannot arrive
-                if any(
-                    self._worker_reaches_cell(worker, candidate)
-                    for worker in workers
-                ):
-                    cached.add(candidate.cell_id)
-                    self._rtcell.setdefault(candidate.cell_id, set()).add(cell_id)
-            return
-        n = len(candidates)
-        ox = np.fromiter((cell.origin.x for cell in candidates), float, n)
-        oy = np.fromiter((cell.origin.y for cell in candidates), float, n)
-        side = np.fromiter((cell.side for cell in candidates), float, n)
-        e_max = np.fromiter((cell.e_max for cell in candidates), float, n)
-        dx = np.maximum(
-            np.maximum(ox - (home.origin.x + home.side), home.origin.x - (ox + side)),
-            0.0,
-        )
-        dy = np.maximum(
-            np.maximum(oy - (home.origin.y + home.side), home.origin.y - (oy + side)),
-            0.0,
-        )
-        d_min = np.hypot(dx, dy)
-        if v_max <= 0.0:
-            keep = d_min <= 0.0
-        else:
-            keep = (d_min <= 0.0) | (
-                depart_min + d_min / v_max <= e_max + _SCREEN_SLACK
-            )
-        for index in np.flatnonzero(keep).tolist():
-            candidate = candidates[index]
-            if any(
-                self._worker_reaches_cell(worker, candidate) for worker in workers
-            ):
-                cached.add(candidate.cell_id)
-                self._rtcell.setdefault(candidate.cell_id, set()).add(cell_id)
+        for target_id in self._task_cells - cached:
+            candidate = self._cells[target_id]
+            d_min = self.cell_pair_distance(home, candidate)
+            if d_min > 0.0:
+                if v_max <= 0.0:
+                    continue
+                if depart_min + d_min / v_max > candidate.e_max:
+                    continue  # even the group's best composite cannot arrive
+            if any(self._worker_reaches_cell(worker, candidate) for worker in workers):
+                cached.add(target_id)
+                self._rtcell.setdefault(target_id, set()).add(cell_id)
 
     def _worker_reaches_cell(self, worker: MovingWorker, task_cell: GridCell) -> bool:
         """Conservative single-worker version of :meth:`_cell_reachable`.
@@ -574,10 +482,7 @@ class RdbscGrid:
         if not worker_cell.workers or not task_cell.tasks:
             return False
         if worker_cell.cell_id == task_cell.cell_id:
-            return (
-                not self.exact_confirm
-                or self._confirm_exact(worker_cell, task_cell)
-            )
+            return self._confirm_exact(worker_cell, task_cell)
         v_max = worker_cell.v_max
         d_min = self.cell_pair_distance(worker_cell, task_cell)
         if v_max <= 0.0 and d_min > 0.0:
@@ -603,8 +508,6 @@ class RdbscGrid:
                 if bearings and not cone.overlaps(enclosing_interval(bearings)):
                     self.stats["cells_pruned_angle"] += 1
                     return False
-        if not self.exact_confirm:
-            return True
         return self._confirm_exact(worker_cell, task_cell)
 
     def _confirm_exact(self, worker_cell: GridCell, task_cell: GridCell) -> bool:
@@ -645,10 +548,10 @@ class RdbscGrid:
     def tcell_list(self, worker_cell: GridCell) -> Set[int]:
         """Reachable task-cell ids for a worker cell (cached).
 
-        Fresh builds are tight (cell-level pruning plus optional exact
+        Fresh builds are tight (cell-level pruning plus exact
         confirmation); under churn the cached list is maintained as a
         *safe superset* — removals never shrink it, worker arrivals widen
-        it with a single-worker sweep — so retrieval (whose per-entry
+        it with a reachability sweep — so retrieval (whose per-entry
         probes are exact) stays correct while maintenance stays O(delta).
         """
         cached = self._tcell.get(worker_cell.cell_id)
@@ -682,21 +585,16 @@ class RdbscGrid:
 
         A member is stale when its target cell no longer exists or holds
         no tasks any more — superset maintenance keeps both around
-        forever.  A member whose cached probe came back empty counts only
-        under ``exact_confirm``: that is what a tight rebuild confirms
-        away; without exact confirmation the rebuild would re-admit the
-        member (it has tasks and passes cell pruning), so counting it
-        would make compaction fire on every retrieval and never shrink
-        anything.
+        forever — or when its cached probe came back empty, which the
+        rebuild's exact confirmation drops.
         """
         stale = 0
         for target_id in members:
             target = self._cells.get(target_id)
-            if target is None or not target.tasks:
-                stale += 1
-            elif (
-                self.exact_confirm
-                and self._pair_cache.get((cell_id, target_id)) == []
+            if (
+                target is None
+                or not target.tasks
+                or self._pair_cache.get((cell_id, target_id)) == []
             ):
                 stale += 1
         return stale
@@ -705,19 +603,17 @@ class RdbscGrid:
         """Rebuild a worker cell's superset list tight when it goes stale.
 
         Called per retrieval with the cached list; when the stale-member
-        ratio reaches ``compact_stale_ratio`` the list is rebuilt from the
+        ratio reaches ``COMPACT_STALE_RATIO`` the list is rebuilt from the
         cell-level pruning (exactly like a fresh lazy build), reverse
         references and cached pair entries of dropped members are
         discarded, and kept members retain their cached probes.  Returns
         the (possibly rebuilt) list to iterate.
         """
         members = self.tcell_list(worker_cell)
-        ratio = self.compact_stale_ratio
-        if ratio is None or len(members) < COMPACT_MIN_MEMBERS:
+        if len(members) < COMPACT_MIN_MEMBERS:
             return members
         cell_id = worker_cell.cell_id
-        stale = self._stale_members(cell_id, members)
-        if stale < ratio * len(members):
+        if self._stale_members(cell_id, members) < COMPACT_STALE_RATIO * len(members):
             return members
         del self._tcell[cell_id]
         rebuilt = self.tcell_list(worker_cell)
@@ -740,7 +636,7 @@ class RdbscGrid:
         the dirty entries and streams the rest from the cache.  The
         returned pair set is identical to a from-scratch retrieval on a
         freshly built grid — in both backends.  Superset lists whose
-        stale-member ratio crossed ``compact_stale_ratio`` are rebuilt
+        stale-member ratio crossed ``COMPACT_STALE_RATIO`` are rebuilt
         tight on the way (see :meth:`_maybe_compact_tcell`), so week-long
         churn does not accumulate dead probes.
 
@@ -804,11 +700,10 @@ class RdbscGrid:
         workers: Sequence[MovingWorker],
         eta: float,
         validity: Optional[ValidityRule] = None,
-        exact_confirm: bool = True,
         backend: str = "python",
     ) -> "RdbscGrid":
         """Build an index over a static snapshot of tasks and workers."""
-        grid = cls(eta, validity, exact_confirm, backend)
+        grid = cls(eta, validity, backend)
         for task in tasks:
             grid.insert_task(task)
         for worker in workers:

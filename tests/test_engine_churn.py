@@ -227,40 +227,35 @@ def test_tcell_compaction_drops_dead_probes(backend):
     """
     from tests.conftest import make_task, make_worker
 
-    eta = 0.1
-    grid = RdbscGrid(eta, backend=backend, compact_stale_ratio=0.5)
-    frozen = RdbscGrid(eta, backend=backend, compact_stale_ratio=None)
+    grid = RdbscGrid(0.1, backend=backend)
     tasks, workers = [], [make_worker(0, x=0.5, y=0.5, velocity=5.0)]
     spots = [(0.05, 0.05), (0.05, 0.55), (0.05, 0.95), (0.55, 0.05),
              (0.95, 0.05), (0.95, 0.55), (0.95, 0.95), (0.55, 0.95)]
     for k, (x, y) in enumerate(spots):
         tasks.append(make_task(k, x=x, y=y, end=20.0))
         workers.append(make_worker(100 + k, x=x, y=y, velocity=0.001))
-    for g in (grid, frozen):
-        for t in tasks:
-            g.insert_task(t)
-        for w in workers:
-            g.insert_worker(w)
-    assert pair_key(grid.valid_pairs()) == pair_key(frozen.valid_pairs())
+    for t in tasks:
+        grid.insert_task(t)
+    for w in workers:
+        grid.insert_worker(w)
+    assert pair_key(grid.valid_pairs()) == pair_key(
+        retrieve_pairs_without_index(tasks, workers)
+    )
     # Retire every outlying task; the cells stay (slow residents).
     for t in tasks:
         grid.remove_task(t.task_id)
-        frozen.remove_task(t.task_id)
     centre = grid.cell_at(workers[0].location)
-    stale_size = len(frozen.tcell_list(frozen.cell_at(workers[0].location)))
-    assert grid.valid_pairs() == [] == frozen.valid_pairs()
+    stale_size = len(grid.tcell_list(centre))  # the superset, not yet compacted
+    assert grid.valid_pairs() == []
     assert grid.stats["tcell_compactions"] > 0
     assert grid.stats["tcell_members_dropped"] > 0
     assert len(grid.tcell_list(centre)) < stale_size
     # Fresh task churn after compaction still retrieves exactly.
     late = make_task(50, x=0.05, y=0.55, end=30.0)
-    for g in (grid, frozen):
-        g.insert_task(late)
-    expected = pair_key(
+    grid.insert_task(late)
+    assert pair_key(grid.valid_pairs()) == pair_key(
         retrieve_pairs_without_index([late], workers)
     )
-    assert pair_key(grid.valid_pairs()) == expected
-    assert pair_key(frozen.valid_pairs()) == expected
     # Compaction converges: once a list is rebuilt tight, further
     # retrievals without churn must not keep rebuilding it.
     settled = grid.stats["tcell_compactions"]
@@ -269,34 +264,11 @@ def test_tcell_compaction_drops_dead_probes(backend):
     assert grid.stats["tcell_compactions"] == settled
 
 
-def test_tcell_compaction_no_thrash_without_exact_confirm():
-    """Superset-only lists (exact_confirm=False) never thrash on empty probes.
-
-    A tight rebuild without exact confirmation re-admits members whose
-    probes are empty but whose cells still hold tasks, so such members
-    must not count toward the stale ratio — otherwise every retrieval
-    would pay a full rebuild that drops nothing.
-    """
-    from tests.conftest import make_task, make_worker
-
-    grid = RdbscGrid(0.1, exact_confirm=False, compact_stale_ratio=0.5)
-    grid.insert_worker(make_worker(0, x=0.5, y=0.5, velocity=5.0))
-    spots = [(0.05, 0.05), (0.05, 0.55), (0.05, 0.95), (0.55, 0.05),
-             (0.95, 0.05), (0.95, 0.55)]
-    for k, (x, y) in enumerate(spots):
-        # Windows already closed for any arrival: probes all come back
-        # empty, but the cells keep their tasks.
-        grid.insert_task(make_task(k, x=x, y=y, start=0.0, end=0.01))
-    for _ in range(5):
-        assert grid.valid_pairs() == []
-    assert grid.stats["tcell_compactions"] == 0
-
-
 @pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_compaction_preserves_churn_equivalence(backend):
+def test_compaction_preserves_churn_equivalence(backend, monkeypatch):
     """A long random churn session with compaction still matches fresh builds."""
+    monkeypatch.setattr("repro.index.grid.COMPACT_STALE_RATIO", 0.3)
     driver = ChurnDriver(backend, seed=23)
-    driver.engine.grid.compact_stale_ratio = 0.3
     driver.engine.epoch(driver.now)
     for checkpoint in range(4):
         for _ in range(40):
@@ -307,3 +279,5 @@ def test_compaction_preserves_churn_equivalence(backend):
                 driver.task_list(), driver.worker_list(), ETA, backend=backend
             ).valid_pairs()
         ), checkpoint
+    # The lowered ratio made compaction fire during the session.
+    assert driver.engine.grid.stats["tcell_compactions"] > 0

@@ -280,19 +280,13 @@ def test_batch_matrix_shape_and_nan_mask():
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("exact_confirm", [True, False])
-def test_grid_backend_identical_retrieval(seed, exact_confirm):
+def test_grid_backend_identical_retrieval(seed):
     problem = generate_problem(sparse_config(num_tasks=40, num_workers=80), seed)
     reference = RdbscGrid.bulk_load(
-        problem.tasks, problem.workers, 0.125, problem.validity, exact_confirm
+        problem.tasks, problem.workers, 0.125, problem.validity
     )
     batched = RdbscGrid.bulk_load(
-        problem.tasks,
-        problem.workers,
-        0.125,
-        problem.validity,
-        exact_confirm,
-        backend="numpy",
+        problem.tasks, problem.workers, 0.125, problem.validity, backend="numpy"
     )
     assert pair_set(reference.valid_pairs()) == pair_set(batched.valid_pairs())
 

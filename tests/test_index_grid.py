@@ -42,13 +42,6 @@ class TestRetrievalCorrectness:
             retrieve_pairs_without_index(tasks, workers)
         )
 
-    def test_without_exact_confirm_also_correct(self):
-        tasks, workers = build_instance(5)
-        grid = RdbscGrid.bulk_load(tasks, workers, 0.1, exact_confirm=False)
-        assert pair_set(grid.valid_pairs()) == pair_set(
-            retrieve_pairs_without_index(tasks, workers)
-        )
-
     def test_waiting_validity_respected(self):
         tasks, workers = build_instance(7)
         rule = ValidityRule(allow_waiting=True)
@@ -180,7 +173,7 @@ class TestRectDistanceCacheAndGroupScreen:
         for worker in workers[:20]:
             grid.insert_worker(worker)
         grid.valid_pairs()  # materialise cached lists before the widening
-        grid.insert_workers(workers[20:])  # one vectorised sweep per cell
+        grid.insert_workers(workers[20:])  # one widening sweep per cell
         expected = retrieve_pairs_without_index(tasks, workers, grid.validity)
         got = grid.valid_pairs()
         assert sorted(
@@ -190,24 +183,22 @@ class TestRectDistanceCacheAndGroupScreen:
         assert grid._rect_dist
 
     def test_vectorised_screen_path_preserves_retrieval(self):
-        """Enough candidate cells to cross the vector-screen threshold."""
+        """A widening sweep over a wide candidate set retrieves exactly."""
         import numpy as np
-
-        from repro.index.grid import _VECTOR_SCREEN_MIN
 
         rng = np.random.default_rng(37)
         tasks = [
             make_task(i, x=float(x), y=float(y), start=0.0, end=50.0)
             for i, (x, y) in enumerate(rng.uniform(0.0, 1.0, size=(240, 2)))
         ]
-        grid = RdbscGrid(0.05)  # 20x20 cells: task cells well above the cutoff
+        grid = RdbscGrid(0.05)  # 20x20 cells: many task-holding candidates
         for task in tasks:
             grid.insert_task(task)
         anchor = make_worker(0, x=0.5, y=0.5, velocity=0.0)  # tiny tight list
         grid.insert_worker(anchor)
         grid.valid_pairs()  # materialise the cached list before the widening
         occupied = sum(1 for cell in grid.cells() if cell.tasks)
-        assert occupied > _VECTOR_SCREEN_MIN  # the sweep takes the array path
+        assert occupied > 96  # wider than any benchmark workload's sweep
         movers = [
             make_worker(1 + i, x=0.5, y=0.5, velocity=0.5) for i in range(3)
         ]

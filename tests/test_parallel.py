@@ -479,6 +479,14 @@ def compensated_sum(iterable, start=0):
 PLAIN_SUM = sum
 
 
+def running_sum(iterable, start=0):
+    """A left-to-right ``sum()``, as the builtin is up to Python 3.11."""
+    total = start
+    for x in iterable:
+        total = total + x
+    return total
+
+
 class TestSampleChunkScorer:
     def test_scores_equal_evaluate_assignment(self):
         problem = problem_for(seed=7)
@@ -509,8 +517,11 @@ class TestSampleChunkScorer:
     def test_r_is_the_builtin_sum_on_any_python(self, seed, monkeypatch):
         # evaluate_assignment's R is the builtin sum(), which compensates
         # from Python 3.12 on; the scorer must follow it, not a running
-        # sum.  Swap a compensated sum in for both and compare.
+        # sum.  Score once under an explicit running sum (the builtin up
+        # to 3.11) and once under a compensated one (the builtin from
+        # 3.12), so the comparison has teeth on every interpreter.
         problem = wide_task_case(seed)
+        monkeypatch.setattr(builtins, "sum", running_sum)
         plain = SampleChunkScorer(problem).score_range(seed, 0, 6)
         monkeypatch.setattr(builtins, "sum", compensated_sum)
         block = SampleChunkScorer(problem).score_range(seed, 0, 6)

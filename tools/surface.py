@@ -9,7 +9,7 @@ both halves of that report in one run:
   total;
 * the :func:`inspect.signature` parameter count of the constructor of
   every public class exported from ``repro.engine``,
-  ``repro.algorithms`` and ``repro.solvers``.
+  ``repro.algorithms``, ``repro.solvers`` and ``repro.index``.
 
 Usage::
 
@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Dict, Iterator, Tuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = ("repro.engine", "repro.algorithms", "repro.solvers")
+MODULES = ("repro.engine", "repro.algorithms", "repro.solvers", "repro.index")
 
 
 def line_counts(root: Path = SRC / "repro") -> Dict[str, int]:

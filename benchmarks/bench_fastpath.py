@@ -20,7 +20,7 @@ from repro.algorithms.sampling import substream_base_seed, substream_rng
 from repro.core.objectives import evaluate_assignment
 from repro.datagen import ExperimentConfig, generate_problem
 from repro.fastpath import batch_valid_pairs
-from repro.index.grid import RdbscGrid, retrieve_pairs_without_index
+from repro.index.grid import retrieve_pairs_without_index
 from repro.skyline.dominance import best_index_by_dominance
 from repro.utils.hostmeta import host_metadata
 
@@ -111,32 +111,6 @@ def run_fastpath_experiment(
                 "speedup": t_scalar / t_numpy,
             }
         )
-
-    # -- grid-index retrieval -------------------------------------------
-    problem = generate_problem(_sparse_config(num_tasks, num_workers), seed)
-    grids = {
-        backend: RdbscGrid.bulk_load(
-            problem.tasks, problem.workers, 0.1, problem.validity, backend=backend
-        )
-        for backend in ("python", "numpy")
-    }
-    for grid in grids.values():
-        grid.build_all_tcell_lists()
-    t_grid_py, py_pairs = _best_seconds(grids["python"].valid_pairs, repeats)
-    t_grid_np, np_pairs = _best_seconds(grids["numpy"].valid_pairs, repeats)
-    if set(py_pairs) != set(np_pairs):
-        raise AssertionError("grid backends disagree on pair set")
-    rows.append(
-        {
-            "operation": "grid_index_retrieval[sparse]",
-            "m_tasks": num_tasks,
-            "n_workers": num_workers,
-            "pairs": len(py_pairs),
-            "python_seconds": t_grid_py,
-            "numpy_seconds": t_grid_np,
-            "speedup": t_grid_py / t_grid_np,
-        }
-    )
 
     # -- solver scoring (smaller instance keeps the bench quick) --------
     solver_problem = generate_problem(

@@ -178,9 +178,7 @@ def run_incremental_experiment(
         for ops in script:
             for op in ops:
                 _apply_to_dicts(tdict, wdict, op)
-            grid = RdbscGrid.bulk_load(
-                list(tdict.values()), list(wdict.values()), eta, backend=backend
-            )
+            grid = RdbscGrid.bulk_load(list(tdict.values()), list(wdict.values()), eta)
             problem = RdbscProblem(
                 list(tdict.values()),
                 list(wdict.values()),
@@ -195,9 +193,7 @@ def run_incremental_experiment(
         # bit-identical (arrivals included).
         if incremental != rebuild:
             raise AssertionError(f"strategies disagree on {backend} epochs")
-        final = RdbscGrid.bulk_load(
-            list(tdict.values()), list(wdict.values()), eta, backend=backend
-        )
+        final = RdbscGrid.bulk_load(list(tdict.values()), list(wdict.values()), eta)
         if sorted(
             (p.task_id, p.worker_id, p.arrival) for p in engine.current_pairs()
         ) != sorted(

@@ -19,6 +19,7 @@ from typing import Optional
 
 from repro.core.task import SpatialTask
 from repro.core.worker import MovingWorker
+from repro.geometry.angles import bearing
 
 
 @dataclass(frozen=True)
@@ -37,20 +38,33 @@ class ValidityRule:
     ) -> Optional[float]:
         """The time the worker would begin the task, or ``None`` if invalid.
 
-        Checks, in order: the direction cone admits the bearing to the task,
-        and the (possibly waiting-adjusted) arrival time falls in the valid
-        period.
+        Checks, in order: the (possibly waiting-adjusted) arrival time falls
+        in the valid period, then the direction cone admits the bearing to
+        the task — skipped when the worker stands on the task, as
+        :meth:`MovingWorker.heads_towards` skips it.  The arrival is the
+        float :meth:`MovingWorker.arrival_time_at` returns: the departure
+        time plus the ``math.hypot`` distance over the speed, or plus
+        ``0.0`` at distance zero; a stationary worker reaches no other
+        point.  Both checks must pass and neither feeds the other, so the
+        verdict and the arrival are those of the cone-first order for
+        every pair; the time window goes first because it is cheaper and
+        rejects most of the pairs the grid index probes.
         """
-        if not worker.heads_towards(task.location):
+        origin, target = worker.location, task.location
+        dist = math.hypot(origin.x - target.x, origin.y - target.y)
+        if dist == 0.0:
+            arrival = worker.depart_time + 0.0
+        elif worker.velocity == 0.0:
             return None
-        arrival = worker.arrival_time_at(task.location)
-        if math.isinf(arrival):
+        else:
+            arrival = worker.depart_time + dist / worker.velocity
+        start = task.start
+        begin = start if self.allow_waiting and arrival < start else arrival
+        if not start <= begin <= task.end or math.isinf(arrival):
             return None
-        if self.allow_waiting and arrival < task.start:
-            arrival = task.start
-        if not task.contains_arrival(arrival):
+        if dist != 0.0 and not worker.cone.contains(bearing(origin, target)):
             return None
-        return arrival
+        return begin
 
     def is_valid(self, worker: MovingWorker, task: SpatialTask) -> bool:
         """Whether the pair ``(task, worker)`` is assignable."""

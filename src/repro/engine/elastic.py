@@ -49,7 +49,7 @@ the concatenate-and-sort merge sees every pair exactly once), and plans
 plus :meth:`~repro.engine.metrics.EngineMetrics.counters` are
 bit-identical to the unsharded engine — ``tests/test_sharding.py`` and
 ``tests/test_elastic.py`` pin this across drift scenarios, shard counts,
-backends and solve modes, and ``benchmarks/bench_elastic.py`` records
+engine backends and solve modes, and ``benchmarks/bench_elastic.py`` records
 the diff-vs-full-ship payoff into ``BENCH_elastic.json``.
 """
 
@@ -194,24 +194,22 @@ class ResidentShard:
         shard_id: int,
         eta: float,
         validity: Optional[ValidityRule] = None,
-        backend: str = "python",
     ) -> None:
         self.shard_id = shard_id
         self._eta = eta
         self._validity = validity
-        self._backend = backend
         self.version = 0
         self.fingerprint = 0
         self._worker_digests: Dict[int, int] = {}
         self._task_digests: Dict[int, int] = {}
-        self.grid = RdbscGrid(eta, validity, backend=backend)
+        self.grid = RdbscGrid(eta, validity)
         self._reported = dict(self.grid.stats)
 
     def _reset(self) -> None:
         self.fingerprint = 0
         self._worker_digests = {}
         self._task_digests = {}
-        self.grid = RdbscGrid(self._eta, self._validity, backend=self._backend)
+        self.grid = RdbscGrid(self._eta, self._validity)
         self._reported = dict(self.grid.stats)
 
     def _apply_runs(self, runs: Sequence[Tuple[str, object]]) -> None:
@@ -316,11 +314,11 @@ _RESIDENT: Optional[ResidentShard] = None
 
 
 def _resident_init(
-    shard_id: int, eta: float, validity: Optional[ValidityRule], backend: str
+    shard_id: int, eta: float, validity: Optional[ValidityRule]
 ) -> None:
     """Worker-process initialiser: build this slot's empty resident."""
     global _RESIDENT
-    _RESIDENT = ResidentShard(shard_id, eta, validity, backend=backend)
+    _RESIDENT = ResidentShard(shard_id, eta, validity)
 
 
 def _resident_apply(diff: ShardDiff):
@@ -348,7 +346,6 @@ class ProcessResidentExecutor:
         num_shards: int,
         eta: float,
         validity: Optional[ValidityRule],
-        backend: str,
     ) -> None:
         from repro.engine.parallel import PinnedWorkerPools
 
@@ -356,7 +353,7 @@ class ProcessResidentExecutor:
             num_shards,
             initializer=_resident_init,
             initargs_per_slot=[
-                (shard_id, eta, validity, backend)
+                (shard_id, eta, validity)
                 for shard_id in range(num_shards)
             ],
         )
@@ -597,8 +594,8 @@ class ElasticShardedAssignmentEngine(AssignmentEngine):
     Args:
         solver / eta / validity / rng / backend / reanchor_on_epoch /
             solve_mode / warm_churn_threshold: as for
-            :class:`AssignmentEngine` (``backend`` selects how each shard
-            grid probes its dirty cell pairs).
+            :class:`AssignmentEngine` (``backend`` no longer touches the
+            shard grids, which all probe with the scalar rule).
         num_shards: cell-block count (see :class:`ShardMap`).
         halo: task-replication radius; ``None`` replicates everywhere
             (safe default).  With an explicit halo the engine tracks the
@@ -662,14 +659,12 @@ class ElasticShardedAssignmentEngine(AssignmentEngine):
         if executor == "sequential":
             self.executor = SequentialResidentExecutor(
                 [
-                    ResidentShard(shard_id, eta, self.validity, backend=backend)
+                    ResidentShard(shard_id, eta, self.validity)
                     for shard_id in range(num_shards)
                 ]
             )
         else:
-            self.executor = ProcessResidentExecutor(
-                num_shards, eta, self.validity, backend
-            )
+            self.executor = ProcessResidentExecutor(num_shards, eta, self.validity)
         if isinstance(rebalance, dict):
             rebalance = RebalancePolicy(**rebalance)
         #: The reshape driver (``None`` = static tiling, manual reshapes).

@@ -16,7 +16,7 @@ state current *per event* instead of per epoch —
 the :class:`repro.core.problem.RdbscProblem` sub-instance and runs the
 configured solver.  A retrieval after a small delta therefore costs
 O(delta), not O(m * n); the results are bit-identical to a from-scratch
-rebuild (``tests/test_engine_churn.py`` pins this on both backends).
+rebuild (``tests/test_engine_churn.py`` pins this on both engine backends).
 
 Solving itself is delta-aware too: with ``solve_mode="warm"`` the engine
 tracks the churn between consecutive epochs in an
@@ -139,9 +139,10 @@ class AssignmentEngine:
         eta: grid cell side (see :func:`repro.index.cost_model.optimal_eta`).
         validity: pair-validity policy shared by index and problem builds.
         rng: seed/generator forwarded to the solver for reproducibility.
-        backend: ``"python"`` or ``"numpy"`` — how the grid index probes
-            dirty cell pairs, and whether a warm GREEDY repair reads its
-            Eq. 8 weights off the worker slab.
+        backend: ``"python"`` or ``"numpy"`` — whether a warm GREEDY
+            repair reads its Eq. 8 weights off the worker slab.  It no
+            longer touches the grid index, which always probes with the
+            scalar validity rule.
         reanchor_on_epoch: when true, every epoch first re-anchors each
             live worker to depart *now* from its current location (the
             platform's semantics — an idle worker starts moving when
@@ -210,7 +211,7 @@ class AssignmentEngine:
         self.solve_mode = solve_mode
         self.warm_churn_threshold = warm_churn_threshold
         self.rng = rng
-        self.grid = RdbscGrid(eta, self.validity, backend=backend)
+        self.grid = RdbscGrid(eta, self.validity)
         self.worker_slots = WorkerSlots()
         self.metrics = EngineMetrics()
         #: Per-epoch phase timer (see :mod:`repro.engine.profile`): the

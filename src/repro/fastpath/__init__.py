@@ -27,7 +27,6 @@ broadcast equivalents over packed arrays:
 
 Consumers select the fast path through ``backend="numpy"`` flags on
 :class:`repro.core.problem.RdbscProblem`,
-:class:`repro.index.grid.RdbscGrid`,
 :class:`repro.algorithms.greedy.GreedySolver` and
 :class:`repro.engine.AssignmentEngine`; the differential suite in
 ``tests/test_fastpath_equivalence.py`` pins both backends to identical
@@ -45,7 +44,6 @@ from repro.fastpath.diversity import (
     pack_delta_slab,
 )
 from repro.fastpath.kernels import (
-    batch_any_valid,
     batch_delta_min_r,
     batch_effective_arrival,
     batch_valid_pairs,
@@ -59,7 +57,6 @@ __all__ = [
     "TaskArrays",
     "WorkerArrays",
     "WorkerSlots",
-    "batch_any_valid",
     "batch_delta_estd",
     "batch_delta_min_r",
     "batch_expected_spatial_diversity",

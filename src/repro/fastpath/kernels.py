@@ -136,47 +136,11 @@ def batch_effective_arrival(
     return np.where(valid, arrival, np.nan)
 
 
-def batch_any_valid(
-    tasks: Sequence[SpatialTask],
-    workers: Sequence[MovingWorker],
-    validity: Optional[ValidityRule] = None,
-    task_arrays: Optional[TaskArrays] = None,
-    worker_arrays: Optional[WorkerArrays] = None,
-) -> bool:
-    """Whether any (task, worker) pair of the product is valid.
-
-    Filter-then-confirm existence check with the scalar rule as the final
-    word, so the verdict matches a scalar double loop exactly; used by the
-    grid index's cell confirmation.  ``task_arrays`` / ``worker_arrays``
-    are optional prepacked columns aligned with ``tasks`` / ``workers``
-    (the grid passes its cells' resident blocks); a side left out is
-    packed here.
-    """
-    rule = validity if validity is not None else ValidityRule()
-    if task_arrays is None:
-        task_arrays = TaskArrays.from_tasks(tasks)
-    if worker_arrays is None:
-        worker_arrays = WorkerArrays.from_workers(workers)
-    valid, _ = _validity_mask(
-        task_arrays,
-        worker_arrays,
-        rule.allow_waiting,
-        slack=FILTER_SLACK,
-    )
-    rows, cols = np.nonzero(valid)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if rule.is_valid(workers[j], tasks[i]):
-            return True
-    return False
-
-
 def batch_valid_pairs(
     tasks: Sequence[SpatialTask],
     workers: Sequence[MovingWorker],
     validity: Optional[ValidityRule] = None,
     refine: bool = True,
-    task_arrays: Optional[TaskArrays] = None,
-    worker_arrays: Optional[WorkerArrays] = None,
 ) -> List[ValidPair]:
     """Array-backed replacement for the brute-force valid-pair scan.
 
@@ -196,14 +160,10 @@ def batch_valid_pairs(
             vectorised mask and arrivals are returned directly (at most
             one ulp apart from scalar, and pairs sitting exactly on a
             boundary may differ).
-        task_arrays / worker_arrays: optional prepacked columns aligned
-            with ``tasks`` / ``workers``, to amortise packing across calls.
     """
     rule = validity if validity is not None else ValidityRule()
-    if task_arrays is None:
-        task_arrays = TaskArrays.from_tasks(tasks)
-    if worker_arrays is None:
-        worker_arrays = WorkerArrays.from_workers(workers)
+    task_arrays = TaskArrays.from_tasks(tasks)
+    worker_arrays = WorkerArrays.from_workers(workers)
     valid, arrival = _validity_mask(
         task_arrays,
         worker_arrays,

@@ -1,23 +1,20 @@
 """A single cell of the RDB-SC grid.
 
 Per Section 7.1, each cell keeps its resident task and worker records plus
-what cell-level pruning and probing derive from them, each piece refreshed
+the aggregates cell-level pruning derives from them, each piece refreshed
 at most once per change and only when it is itself read:
 
-* worker side, three independently lazy pieces — the scalars ``v_max`` /
+* worker side, two independently lazy pieces — the scalars ``v_max`` /
   ``depart_min`` (widened by ``add_worker``, staled by ``remove_worker`` /
-  ``replace_worker``, refreshed together); ``cone_union`` behind its own
-  flag, folded in resident-dict order only when read, so a ``v_max`` read
-  never pays the cone sweep; and the packed **worker block**
-  (:meth:`GridCell.worker_block`), dropped by all three writers;
+  ``replace_worker``, refreshed together) and ``cone_union`` behind its
+  own flag, folded in resident-dict order only when read, so a ``v_max``
+  read never pays the cone sweep;
 * task side — ``e_max`` / ``s_min`` (widened by ``add_task``, staled by
-  ``remove_task``) and the packed **task block**, dropped by both.
+  ``remove_task``).
 
 Stale aggregates would stay conservative (removal only shrinks them, so
 pruning stays safe), but a read refreshes its piece first: exposed values
-always equal a freshly built cell's.  Blocks are read-only snapshots in
-resident-dict order — a change replaces the block, never writes into it —
-and only the numpy backend ever asks for one.
+always equal a freshly built cell's.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.task import SpatialTask
 from repro.core.worker import MovingWorker
-from repro.fastpath.arrays import TaskArrays, WorkerArrays
 from repro.geometry.angles import AngleInterval, enclosing_interval
 from repro.geometry.points import Point
 
@@ -59,8 +55,6 @@ class GridCell:
         self._e_max = -math.inf
         self._s_min = math.inf
         self._cone_union: Optional[AngleInterval] = None
-        self._worker_block: Optional[WorkerArrays] = None
-        self._task_block: Optional[TaskArrays] = None
 
     # ------------------------------------------------------------------ #
     # Geometry
@@ -105,21 +99,18 @@ class GridCell:
     def add_task(self, task: SpatialTask) -> None:
         """Place a task in the cell, widening the deadline aggregates."""
         self.tasks[task.task_id] = task
-        self._task_block = None
         self._e_max = max(self._e_max, task.end)
         self._s_min = min(self._s_min, task.start)
 
     def remove_task(self, task_id: int) -> SpatialTask:
         """Remove a resident task; deadline aggregates go lazily stale."""
         task = self.tasks.pop(task_id)
-        self._task_block = None
         self._tasks_stale = True
         return task
 
     def add_worker(self, worker: MovingWorker) -> None:
         """Place a worker in the cell, widening the worker-side aggregates."""
         self.workers[worker.worker_id] = worker
-        self._worker_block = None
         self._v_max = max(self._v_max, worker.velocity)
         self._depart_min = min(self._depart_min, worker.depart_time)
         if not self._cone_stale:  # a stale cone is re-folded whole anyway
@@ -145,7 +136,6 @@ class GridCell:
     def _stale_workers(self) -> None:
         self._workers_stale = True
         self._cone_stale = True
-        self._worker_block = None
 
     @property
     def is_empty(self) -> bool:
@@ -210,22 +200,6 @@ class GridCell:
             self._cone_union = union
             self._cone_stale = False
         return self._cone_union
-
-    # ------------------------------------------------------------------ #
-    # Packed column blocks (numpy backend)
-    # ------------------------------------------------------------------ #
-
-    def worker_block(self) -> WorkerArrays:
-        """The resident workers' packed columns, aligned with ``workers.values()``."""
-        if self._worker_block is None:
-            self._worker_block = WorkerArrays.from_workers(list(self.workers.values()))
-        return self._worker_block
-
-    def task_block(self) -> TaskArrays:
-        """The resident tasks' packed columns, aligned with ``tasks.values()``."""
-        if self._task_block is None:
-            self._task_block = TaskArrays.from_tasks(list(self.tasks.values()))
-        return self._task_block
 
 
 def _widen(

@@ -15,6 +15,13 @@ deadline in the *target* cell, or when the direction cone union of
 compares against ``e_max(cell_i)``; the tasks being reached live in
 ``cell_j``, so we prune against ``e_max(cell_j)`` — a strict improvement
 with identical safety.)
+
+Every exact probe — a retrieval probe of a (worker cell, task cell)
+entry, or the confirmation a fresh list build makes — applies
+:meth:`repro.core.validity.ValidityRule.effective_arrival` pair by pair.
+Maintenance under churn (Section 7.2) keeps lists as safe supersets;
+compaction later filters out the members that provably reach no task,
+reusing the probes retrieval has cached instead of re-scanning cells.
 """
 
 from __future__ import annotations
@@ -30,15 +37,15 @@ from repro.geometry.angles import bearing, enclosing_interval
 from repro.geometry.points import Point
 from repro.index.cell import GridCell
 
-#: Smallest cached ``tcell_list`` considered for compaction — rebuilding
+#: Smallest cached ``tcell_list`` considered for compaction — scanning
 #: shorter lists costs more than the handful of dead probes they can hold.
 COMPACT_MIN_MEMBERS = 4
 
-#: Stale-member fraction at which a cached ``tcell_list`` is rebuilt tight.
+#: Stale-member fraction at which a cached ``tcell_list`` is compacted.
 #: Superset maintenance never shrinks a list, so long churn accumulates
 #: members that only ever yield dead probes; once this share of a list
 #: (of at least ``COMPACT_MIN_MEMBERS``) is stale, the next retrieval
-#: rebuilds it.
+#: drops its stale members.
 COMPACT_STALE_RATIO = 0.5
 
 
@@ -81,33 +88,21 @@ class RdbscGrid:
             confirmation step of ``tcell_list`` construction: cells
             surviving the aggregate pruning enter a freshly built list
             only once an exact worker-task probe confirms them.
-        backend: ``"python"`` probes surviving (worker cell, task cell)
-            combinations with the scalar validity rule pair by pair;
-            ``"numpy"`` batches each worker cell's probes through the
-            :mod:`repro.fastpath` kernel (same pair set; ``pair_checks``
-            counts whole batches instead of stopping at the first hit
-            during exact confirmation, and retrieved pairs come out
-            task-major within a batch).  The kernels read the two
-            cells' resident column blocks, packed once per change of a
-            cell, not per probe; the python backend builds no block.
 
-    Cached lists are kept as safe supersets under churn and rebuilt tight
-    once ``COMPACT_STALE_RATIO`` of their members has gone stale.
+    Every probe applies the scalar validity rule pair by pair.  Cached
+    lists are kept as safe supersets under churn and compacted once
+    ``COMPACT_STALE_RATIO`` of their members has gone stale.
     """
 
     def __init__(
         self,
         eta: float,
         validity: Optional[ValidityRule] = None,
-        backend: str = "python",
     ) -> None:
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {eta}")
-        if backend not in ("python", "numpy"):
-            raise ValueError(f"unknown backend {backend!r}")
         self.eta = eta
         self.validity = validity if validity is not None else ValidityRule()
-        self.backend = backend
         self.n_cols = max(1, math.ceil(1.0 / eta))
         self._cells: Dict[int, GridCell] = {}
         self._task_cell: Dict[int, int] = {}
@@ -513,26 +508,9 @@ class RdbscGrid:
     def _confirm_exact(self, worker_cell: GridCell, task_cell: GridCell) -> bool:
         """Exact confirmation: does any valid (worker, task) pair exist?
 
-        The numpy backend filters the whole cell-pair product in one
-        batch over the two cells' resident blocks, then confirms
-        candidates with the scalar rule (so its verdict matches the
-        python backend exactly); it accounts for every probe in
-        ``pair_checks`` instead of short-circuiting.
+        Stops at the first valid pair; ``pair_checks`` counts the probes
+        made up to it.
         """
-        if self.backend == "numpy":
-            from repro.fastpath.kernels import batch_any_valid
-
-            workers = list(worker_cell.workers.values())
-            tasks = list(task_cell.tasks.values())
-            self.stats["pair_checks"] += len(workers) * len(tasks)
-            if batch_any_valid(
-                tasks, workers, self.validity,
-                task_arrays=task_cell.task_block(),
-                worker_arrays=worker_cell.worker_block(),
-            ):
-                self.stats["cells_confirmed"] += 1
-                return True
-            return False
         for worker in worker_cell.workers.values():
             for task in task_cell.tasks.values():
                 self.stats["pair_checks"] += 1
@@ -580,51 +558,54 @@ class RdbscGrid:
                 built += 1
         return built
 
-    def _stale_members(self, cell_id: int, members: Set[int]) -> int:
-        """How many of a cached list's members a tight rebuild would drop.
+    def _stale_members(self, cell_id: int, members: Set[int]) -> List[int]:
+        """The members of a cached list that provably reach no task.
 
         A member is stale when its target cell no longer exists or holds
         no tasks any more — superset maintenance keeps both around
-        forever — or when its cached probe came back empty, which the
-        rebuild's exact confirmation drops.
+        forever — or when its cached probe came back empty.  A tight
+        rebuild would drop every one of them.
         """
-        stale = 0
+        cells, cache = self._cells, self._pair_cache
+        stale: List[int] = []
         for target_id in members:
-            target = self._cells.get(target_id)
+            target = cells.get(target_id)
             if (
                 target is None
                 or not target.tasks
-                or self._pair_cache.get((cell_id, target_id)) == []
+                or cache.get((cell_id, target_id)) == []
             ):
-                stale += 1
+                stale.append(target_id)
         return stale
 
     def _maybe_compact_tcell(self, worker_cell: GridCell) -> Set[int]:
-        """Rebuild a worker cell's superset list tight when it goes stale.
+        """Drop a worker cell's stale list members once they pile up.
 
         Called per retrieval with the cached list; when the stale-member
-        ratio reaches ``COMPACT_STALE_RATIO`` the list is rebuilt from the
-        cell-level pruning (exactly like a fresh lazy build), reverse
-        references and cached pair entries of dropped members are
-        discarded, and kept members retain their cached probes.  Returns
-        the (possibly rebuilt) list to iterate.
+        ratio reaches ``COMPACT_STALE_RATIO`` exactly the stale members
+        (:meth:`_stale_members`) leave the list, with their reverse
+        references and cached pair entries.  The list is a safe superset,
+        so a tight rebuild could only remove members, and every stale one
+        is among them; filtering them out reuses the probes retrieval has
+        already cached instead of re-scanning every task cell, and kept
+        members retain their cached probes.  Returns the list to iterate.
         """
         members = self.tcell_list(worker_cell)
         if len(members) < COMPACT_MIN_MEMBERS:
             return members
         cell_id = worker_cell.cell_id
-        if self._stale_members(cell_id, members) < COMPACT_STALE_RATIO * len(members):
+        stale = self._stale_members(cell_id, members)
+        if len(stale) < COMPACT_STALE_RATIO * len(members):
             return members
-        del self._tcell[cell_id]
-        rebuilt = self.tcell_list(worker_cell)
-        for target_id in members - rebuilt:
+        for target_id in stale:
+            members.discard(target_id)
             refs = self._rtcell.get(target_id)
             if refs is not None:
                 refs.discard(cell_id)
             self._pair_cache.pop((cell_id, target_id), None)
         self.stats["tcell_compactions"] += 1
-        self.stats["tcell_members_dropped"] += len(members) - len(rebuilt)
-        return rebuilt
+        self.stats["tcell_members_dropped"] += len(stale)
+        return members
 
     def valid_pairs(self) -> List[ValidPair]:
         """Index-assisted valid-pair retrieval (Figure 17(b) with index).
@@ -635,16 +616,10 @@ class RdbscGrid:
         affected entries, so a retrieval after a small delta re-probes only
         the dirty entries and streams the rest from the cache.  The
         returned pair set is identical to a from-scratch retrieval on a
-        freshly built grid — in both backends.  Superset lists whose
-        stale-member ratio crossed ``COMPACT_STALE_RATIO`` are rebuilt
-        tight on the way (see :meth:`_maybe_compact_tcell`), so week-long
-        churn does not accumulate dead probes.
-
-        With ``backend="numpy"`` each dirty entry is probed by one batched
-        kernel call over the two cells' resident blocks instead of a
-        scalar double loop, so a worker cell with k dirty targets packs
-        its residents once, not k times; pairs are identical (the kernel
-        confirms candidates through the scalar rule).
+        freshly built grid.  Superset lists whose stale-member ratio
+        crossed ``COMPACT_STALE_RATIO`` are compacted on the way (see
+        :meth:`_maybe_compact_tcell`), so week-long churn does not
+        accumulate dead probes.
         """
         pairs: List[ValidPair] = []
         for worker_cell in list(self._cells.values()):
@@ -667,24 +642,13 @@ class RdbscGrid:
 
     def _probe_pairs(self, worker_cell: GridCell, target: GridCell) -> List[ValidPair]:
         """Exact valid pairs between one worker cell and one task cell."""
-        if self.backend == "numpy":
-            from repro.fastpath.kernels import batch_valid_pairs
-
-            tasks = list(target.tasks.values())
-            workers = list(worker_cell.workers.values())
-            if not tasks:
-                return []
-            self.stats["pair_checks"] += len(workers) * len(tasks)
-            return batch_valid_pairs(
-                tasks, workers, self.validity,
-                task_arrays=target.task_block(),
-                worker_arrays=worker_cell.worker_block(),
-            )
+        tasks = target.tasks.values()
+        self.stats["pair_checks"] += len(worker_cell.workers) * len(tasks)
+        effective_arrival = self.validity.effective_arrival
         entry: List[ValidPair] = []
         for worker in worker_cell.workers.values():
-            for task in target.tasks.values():
-                self.stats["pair_checks"] += 1
-                arrival = self.validity.effective_arrival(worker, task)
+            for task in tasks:
+                arrival = effective_arrival(worker, task)
                 if arrival is not None:
                     entry.append(ValidPair(task.task_id, worker.worker_id, arrival))
         return entry
@@ -700,10 +664,9 @@ class RdbscGrid:
         workers: Sequence[MovingWorker],
         eta: float,
         validity: Optional[ValidityRule] = None,
-        backend: str = "python",
     ) -> "RdbscGrid":
         """Build an index over a static snapshot of tasks and workers."""
-        grid = cls(eta, validity, backend)
+        grid = cls(eta, validity)
         for task in tasks:
             grid.insert_task(task)
         for worker in workers:

@@ -45,8 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("python", "numpy"),
         default="python",
-        help="engine backend (index, retrieval and GREEDY's scoring loop; "
-        "SAMPLING has one scoring path)",
+        help="GREEDY's scoring loop and warm GREEDY's weight gather; the "
+        "grid index always probes with the scalar rule, and SAMPLING has "
+        "one scoring path",
     )
     parser.add_argument("--eta", type=float, default=0.125, help="grid cell size")
     parser.add_argument(

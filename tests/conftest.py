@@ -18,6 +18,7 @@ to duplicate:
 * :func:`populate_small` — the two-entity population lifecycle tests use.
 """
 
+import builtins
 import math
 
 import numpy as np
@@ -412,3 +413,55 @@ def task_factory():
 @pytest.fixture
 def worker_factory():
     return make_worker
+
+
+# --------------------------------------------------------------------- #
+# Python 3.12's sum() on any interpreter
+# --------------------------------------------------------------------- #
+
+PLAIN_SUM = sum
+
+
+def compensated_sum(iterable, start=0):
+    """A Neumaier-compensated ``sum()`` over floats, as Python 3.12's is.
+
+    Anything other than a start of ``0`` and all-``float`` items goes to
+    the plain builtin, so the stand-in only changes float sums.
+    """
+    items = list(iterable)
+    if start != 0 or not items or any(type(x) is not float for x in items):
+        return PLAIN_SUM(items, start)
+    total, compensation = 0.0 + items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def running_sum(iterable, start=0):
+    """A left-to-right ``sum()``, as the builtin is up to Python 3.11."""
+    total = start
+    for x in iterable:
+        total = total + x
+    return total
+
+
+@pytest.fixture(scope="class")
+def compensated_builtin_sum():
+    """Swap the builtin ``sum()`` for :func:`compensated_sum` for a class.
+
+    From Python 3.12 on the builtin ``sum()`` of floats is compensated,
+    so bitwise pins over code that sums with it must hold under both
+    semantics.  A class using this fixture runs under 3.12's algorithm on
+    any interpreter; the same cases run unpatched elsewhere.  Class scope
+    keeps Hypothesis tests in the class free of function-scoped fixtures.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builtins, "sum", compensated_sum)
+        yield

@@ -385,7 +385,7 @@ class TestElasticProperties:
         for shard_id in range(2):
             resident = engine.executor.residents[shard_id]
             full = engine._build_full_diff(shard_id)
-            fresh = ResidentShard(shard_id, ETA, engine.validity, backend="numpy")
+            fresh = ResidentShard(shard_id, ETA, engine.validity)
             kind, version, _, _ = fresh.apply(full)
             assert kind == "ok"
             assert version == resident.version

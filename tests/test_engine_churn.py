@@ -134,9 +134,7 @@ def test_incremental_pairs_match_fresh_builds(backend, seed):
         for _ in range(15):
             driver.step()
         incremental = pair_key(driver.engine.current_pairs())
-        fresh_grid = RdbscGrid.bulk_load(
-            driver.task_list(), driver.worker_list(), ETA, backend=backend
-        )
+        fresh_grid = RdbscGrid.bulk_load(driver.task_list(), driver.worker_list(), ETA)
         assert incremental == pair_key(fresh_grid.valid_pairs()), checkpoint
         assert incremental == pair_key(
             retrieve_pairs_without_index(driver.task_list(), driver.worker_list())
@@ -214,20 +212,19 @@ def test_slot_reuse_and_generations():
     assert b == slots.slot_of[1]
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_tcell_compaction_drops_dead_probes(backend):
+def test_tcell_compaction_drops_dead_probes():
     """Superset lists shed members that can only yield dead probes.
 
     One fast worker in a centre cell reaches tasks in many outlying cells;
     each outlying cell also hosts a slow resident worker, so removing the
     tasks leaves those cells alive — exactly the week-long-session leak
     the ROADMAP describes: the centre cell's tcell_list keeps probing
-    task-less cells forever.  Compaction must rebuild the list tight while
+    task-less cells forever.  Compaction must drop those members while
     retrieval stays equivalent to a fresh build.
     """
     from tests.conftest import make_task, make_worker
 
-    grid = RdbscGrid(0.1, backend=backend)
+    grid = RdbscGrid(0.1)
     tasks, workers = [], [make_worker(0, x=0.5, y=0.5, velocity=5.0)]
     spots = [(0.05, 0.05), (0.05, 0.55), (0.05, 0.95), (0.55, 0.05),
              (0.95, 0.05), (0.95, 0.55), (0.95, 0.95), (0.55, 0.95)]
@@ -256,7 +253,7 @@ def test_tcell_compaction_drops_dead_probes(backend):
     assert pair_key(grid.valid_pairs()) == pair_key(
         retrieve_pairs_without_index([late], workers)
     )
-    # Compaction converges: once a list is rebuilt tight, further
+    # Compaction converges: once a list is compacted, further
     # retrievals without churn must not keep rebuilding it.
     settled = grid.stats["tcell_compactions"]
     grid.valid_pairs()
@@ -276,8 +273,67 @@ def test_compaction_preserves_churn_equivalence(backend, monkeypatch):
         incremental = pair_key(driver.engine.current_pairs())
         assert incremental == pair_key(
             RdbscGrid.bulk_load(
-                driver.task_list(), driver.worker_list(), ETA, backend=backend
+                driver.task_list(), driver.worker_list(), ETA
             ).valid_pairs()
         ), checkpoint
     # The lowered ratio made compaction fire during the session.
     assert driver.engine.grid.stats["tcell_compactions"] > 0
+
+
+def test_compaction_filters_members_without_reprobing(monkeypatch):
+    """A compaction drops exactly the stale members and re-probes nothing.
+
+    With a low trigger ratio every list that picks up stale members gets
+    compacted during a churn session.  Each compaction must call no
+    cell-level reachability check, drop exactly the members
+    ``_stale_members`` counted (with their reverse references and cached
+    probes), and leave every kept member's cached probe in place, while
+    retrieval keeps matching the no-index scan.
+    """
+    monkeypatch.setattr("repro.index.grid.COMPACT_STALE_RATIO", 0.3)
+    driver = ChurnDriver("python", seed=23)
+    grid = driver.engine.grid
+    compact = RdbscGrid._maybe_compact_tcell
+    reachable = RdbscGrid._cell_reachable
+    seen = {"compactions": 0, "reachability_calls": 0}
+
+    def counting_reachable(self, worker_cell, task_cell):
+        seen["reachability_calls"] += 1
+        return reachable(self, worker_cell, task_cell)
+
+    def checked_compact(self, worker_cell):
+        cell_id = worker_cell.cell_id
+        before = set(self.tcell_list(worker_cell))
+        stale = set(self._stale_members(cell_id, before))
+        cached = {
+            target: self._pair_cache[(cell_id, target)]
+            for target in before - stale
+            if (cell_id, target) in self._pair_cache
+        }
+        calls = seen["reachability_calls"]
+        compactions = self.stats["tcell_compactions"]
+        kept = compact(self, worker_cell)
+        if self.stats["tcell_compactions"] == compactions:
+            assert kept == before
+            return kept
+        seen["compactions"] += 1
+        assert seen["reachability_calls"] == calls
+        assert kept == before - stale
+        for target in stale:
+            assert (cell_id, target) not in self._pair_cache
+            assert cell_id not in self._rtcell.get(target, ())
+        for target, entry in cached.items():
+            assert self._pair_cache[(cell_id, target)] is entry
+        return kept
+
+    monkeypatch.setattr(RdbscGrid, "_cell_reachable", counting_reachable)
+    monkeypatch.setattr(RdbscGrid, "_maybe_compact_tcell", checked_compact)
+    driver.engine.epoch(driver.now)
+    for checkpoint in range(4):
+        for _ in range(40):
+            driver.step()
+        assert pair_key(grid.valid_pairs()) == pair_key(
+            retrieve_pairs_without_index(driver.task_list(), driver.worker_list())
+        ), checkpoint
+    assert seen["compactions"] > 0
+    assert seen["compactions"] == grid.stats["tcell_compactions"]

@@ -214,7 +214,7 @@ def test_ulp_adverse_deadline_not_dropped():
     assert pair_set(scalar) == pair_set(fast)
     assert len(fast) == 1
 
-    grid = RdbscGrid.bulk_load(tasks, workers, 0.5, backend="numpy")
+    grid = RdbscGrid.bulk_load(tasks, workers, 0.5)
     assert pair_set(grid.valid_pairs()) == pair_set(scalar)
 
 
@@ -272,23 +272,6 @@ def test_batch_matrix_shape_and_nan_mask():
                 assert math.isnan(matrix[i, j])
             else:
                 assert matrix[i, j] == pytest.approx(scalar, rel=1e-12, abs=1e-12)
-
-
-# --------------------------------------------------------------------- #
-# Grid index backend
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_grid_backend_identical_retrieval(seed):
-    problem = generate_problem(sparse_config(num_tasks=40, num_workers=80), seed)
-    reference = RdbscGrid.bulk_load(
-        problem.tasks, problem.workers, 0.125, problem.validity
-    )
-    batched = RdbscGrid.bulk_load(
-        problem.tasks, problem.workers, 0.125, problem.validity, backend="numpy"
-    )
-    assert pair_set(reference.valid_pairs()) == pair_set(batched.valid_pairs())
 
 
 # --------------------------------------------------------------------- #
@@ -360,8 +343,6 @@ def test_backend_validation():
         RdbscProblem([], [], backend="fortran")
     with pytest.raises(ValueError):
         GreedySolver(backend="fortran")
-    with pytest.raises(ValueError):
-        RdbscGrid(0.25, backend="fortran")
 
 
 # --------------------------------------------------------------------- #

@@ -36,7 +36,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import GreedySolver, SamplingSolver
@@ -69,7 +69,7 @@ from repro.engine.parallel import (
     unpack_problem,
 )
 from repro.skyline.dominance import best_index_by_dominance
-from tests.conftest import make_task, make_worker
+from tests.conftest import compensated_sum, make_task, make_worker, running_sum
 
 
 def reference_sample_scores(problem, rng, k):
@@ -454,40 +454,15 @@ def wide_task_case(seed, n_workers=140):
     return RdbscProblem(tasks, workers, precomputed_pairs=pairs)
 
 
-def compensated_sum(iterable, start=0):
-    """A Neumaier-compensated ``sum()`` over floats, as Python 3.12's is.
+class ScorerOracleCases:
+    """The chunk scorer against the materialise-and-evaluate oracle.
 
-    Anything other than a start of ``0`` and all-``float`` items goes to
-    the plain builtin, so the stand-in only changes float sums.
+    Run under the interpreter's builtin ``sum()`` by
+    :class:`TestSampleChunkScorer`, and under the compensated ``sum()``
+    of Python 3.12 on by :class:`TestSampleChunkScorerCompensatedSum`,
+    so a host on either side of 3.12 checks both.
     """
-    items = list(iterable)
-    if start != 0 or not items or any(type(x) is not float for x in items):
-        return PLAIN_SUM(items, start)
-    total, compensation = 0.0 + items[0], 0.0
-    for x in items[1:]:
-        t = total + x
-        if abs(total) >= abs(x):
-            compensation += (total - t) + x
-        else:
-            compensation += (x - t) + total
-        total = t
-    if compensation and math.isfinite(compensation):
-        total += compensation
-    return total
 
-
-PLAIN_SUM = sum
-
-
-def running_sum(iterable, start=0):
-    """A left-to-right ``sum()``, as the builtin is up to Python 3.11."""
-    total = start
-    for x in iterable:
-        total = total + x
-    return total
-
-
-class TestSampleChunkScorer:
     def test_scores_equal_evaluate_assignment(self):
         problem = problem_for(seed=7)
         scorer = SampleChunkScorer(problem)
@@ -497,7 +472,13 @@ class TestSampleChunkScorer:
         # groups) and changed nothing above.
         assert 0 < scorer.distinct_rows < scorer.groups
 
-    @settings(max_examples=80, deadline=None)
+    # Both subclasses run this one Hypothesis test, which is what the
+    # differing-executors health check warns about.
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.differing_executors],
+    )
     @given(case=corner_cases())
     def test_corner_cases_equal_evaluate_assignment(self, case):
         problem, lo, hi, base = case
@@ -512,24 +493,6 @@ class TestSampleChunkScorer:
         block = scorer.score_range(seed, 0, 6)
         assert_bitwise(block, oracle_block(problem, seed, 0, 6))
         assert scorer.groups >= 6
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_r_is_the_builtin_sum_on_any_python(self, seed, monkeypatch):
-        # evaluate_assignment's R is the builtin sum(), which compensates
-        # from Python 3.12 on; the scorer must follow it, not a running
-        # sum.  Score once under an explicit running sum (the builtin up
-        # to 3.11) and once under a compensated one (the builtin from
-        # 3.12), so the comparison has teeth on every interpreter.
-        problem = wide_task_case(seed)
-        monkeypatch.setattr(builtins, "sum", running_sum)
-        plain = SampleChunkScorer(problem).score_range(seed, 0, 6)
-        monkeypatch.setattr(builtins, "sum", compensated_sum)
-        block = SampleChunkScorer(problem).score_range(seed, 0, 6)
-        reference = oracle_block(problem, seed, 0, 6)
-        monkeypatch.undo()
-        assert_bitwise(block, reference)
-        # The swap moved a minimum reliability, so the case has teeth.
-        assert not np.array_equal(block.view(np.int64), plain.view(np.int64))
 
     def test_blocked_range_equals_one_pass(self, monkeypatch):
         problem = problem_for(seed=5)
@@ -566,6 +529,31 @@ class TestSampleChunkScorer:
         assert_bitwise(block, oracle_block(no_pairs, 1, 0, 3))
         assert scorer.groups == scorer.distinct_rows == 0
         assert empty.num_pairs == problem.num_pairs  # unrelated sanity
+
+
+@pytest.mark.usefixtures("compensated_builtin_sum")
+class TestSampleChunkScorerCompensatedSum(ScorerOracleCases):
+    pass
+
+
+class TestSampleChunkScorer(ScorerOracleCases):
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_r_is_the_builtin_sum_on_any_python(self, seed, monkeypatch):
+        # evaluate_assignment's R is the builtin sum(), which compensates
+        # from Python 3.12 on; the scorer must follow it, not a running
+        # sum.  Score once under an explicit running sum (the builtin up
+        # to 3.11) and once under a compensated one (the builtin from
+        # 3.12), so the comparison has teeth on every interpreter.
+        problem = wide_task_case(seed)
+        monkeypatch.setattr(builtins, "sum", running_sum)
+        plain = SampleChunkScorer(problem).score_range(seed, 0, 6)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        block = SampleChunkScorer(problem).score_range(seed, 0, 6)
+        reference = oracle_block(problem, seed, 0, 6)
+        monkeypatch.undo()
+        assert_bitwise(block, reference)
+        # The swap moved a minimum reliability, so the case has teeth.
+        assert not np.array_equal(block.view(np.int64), plain.view(np.int64))
 
     def test_problem_wire_roundtrip(self):
         problem = problem_for(seed=9)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.core.task import SpatialTask
 from repro.core.worker import MovingWorker
-from repro.fastpath.arrays import TaskArrays, WorkerArrays
 from repro.geometry.angles import AngleInterval
 from repro.geometry.points import Point
 from repro.index.cell import GridCell
@@ -112,7 +111,7 @@ class TestIndexEqualsBruteForce:
 
 
 def assert_derived_state_is_fresh(cell):
-    """Aggregates and blocks of ``cell`` equal a cell rebuilt from its residents.
+    """Aggregates of ``cell`` equal a cell rebuilt from its residents.
 
     Reads refresh the lazy pieces, so callers hand in a deep copy (stale
     flags included) and keep the live cell's laziness untouched.
@@ -127,28 +126,15 @@ def assert_derived_state_is_fresh(cell):
     ) == (
         fresh.v_max, fresh.depart_min, fresh.cone_union, fresh.e_max, fresh.s_min
     )
-    for block, packed in (
-        (cell.worker_block(), WorkerArrays.from_workers(list(cell.workers.values()))),
-        (cell.task_block(), TaskArrays.from_tasks(list(cell.tasks.values()))),
-    ):
-        for column in dataclasses.fields(block):
-            got, want = getattr(block, column.name), getattr(packed, column.name)
-            if column.name == "index_of":
-                assert got == want
-            else:
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-class TestCellBlocksUnderChurn:
-    """Lazy per-cell state is invisible: both backends, every interleaving."""
+class TestCellStateUnderChurn:
+    """Lazy per-cell state is invisible, in every interleaving."""
 
     @settings(max_examples=40, deadline=None)
     @given(task_lists(6), worker_lists(8), st.data())
-    def test_backends_agree_and_cells_stay_fresh(self, tasks, workers, data):
-        grids = {
-            backend: RdbscGrid.bulk_load(tasks, workers, 0.34, backend=backend)
-            for backend in ("python", "numpy")
-        }
+    def test_retrieval_exact_and_cells_stay_fresh(self, tasks, workers, data):
+        grid = RdbscGrid.bulk_load(tasks, workers, 0.34)
         live_tasks = {task.task_id: task for task in tasks}
         live_workers = {worker.worker_id: worker for worker in workers}
         ops = ["add_worker", "add_task", "retrieve"]
@@ -160,23 +146,19 @@ class TestCellBlocksUnderChurn:
             if op == "add_worker":
                 worker = data.draw(a_worker(100 + step))
                 live_workers[worker.worker_id] = worker
-                for grid in grids.values():
-                    grid.insert_worker(worker)
+                grid.insert_worker(worker)
             elif op == "add_task":
                 task = data.draw(a_task(100 + step))
                 live_tasks[task.task_id] = task
-                for grid in grids.values():
-                    grid.insert_task(task)
+                grid.insert_task(task)
             elif op == "remove_task":
                 task_id = data.draw(st.sampled_from(sorted(live_tasks)))
                 del live_tasks[task_id]
-                for grid in grids.values():
-                    grid.remove_task(task_id)
+                grid.remove_task(task_id)
             elif op == "remove_worker":
                 worker_id = data.draw(st.sampled_from(sorted(live_workers)))
                 del live_workers[worker_id]
-                for grid in grids.values():
-                    grid.remove_worker(worker_id)
+                grid.remove_worker(worker_id)
             elif op in ("turn_worker", "move_worker"):
                 worker_id = data.draw(st.sampled_from(sorted(live_workers)))
                 worker = data.draw(a_worker(worker_id))
@@ -185,22 +167,13 @@ class TestCellBlocksUnderChurn:
                         worker, location=live_workers[worker_id].location
                     )
                 live_workers[worker_id] = worker
-                for grid in grids.values():
-                    grid.update_worker(worker)
+                grid.update_worker(worker)
             else:
-                got = {name: grid.valid_pairs() for name, grid in grids.items()}
                 oracle = retrieve_pairs_without_index(
                     list(live_tasks.values()), list(live_workers.values())
                 )
-                assert (
-                    sorted(map(dataclasses.astuple, got["python"]))
-                    == sorted(map(dataclasses.astuple, got["numpy"]))
-                    == sorted(map(dataclasses.astuple, oracle))
+                assert sorted(map(dataclasses.astuple, grid.valid_pairs())) == sorted(
+                    map(dataclasses.astuple, oracle)
                 )
-            for cell in grids["numpy"].cells():
+            for cell in grid.cells():
                 assert_derived_state_is_fresh(copy.deepcopy(cell))
-            # Same probes in the same order on both backends; only the
-            # probe accounting differs (numpy counts whole batches).
-            python_stats, numpy_stats = (dict(grids[b].stats) for b in grids)
-            del python_stats["pair_checks"], numpy_stats["pair_checks"]
-            assert python_stats == numpy_stats

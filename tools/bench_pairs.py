@@ -10,11 +10,22 @@ parent's own runs.  This helper does the runs and prints that verdict
 per end-to-end metric, flagging a median that is worse than the parent's
 by more than the metric's ``BENCHMARK.json`` bound.
 
-It checks ``--parent`` out into a temporary ``git worktree``, then for
-each pair draws a fresh seed and runs the command ``BENCHMARK.json``
-declares (``python3 benchmarks/e2e/run.py --workload W --seed S
---seconds 15 --trace 0``) once in that tree and once in this one.  The
-benchmark is read, never edited.  Standard library only.
+Runs go in ABBA blocks of two pairs — parent, change, change, parent —
+all on one seed, each block opened by one discarded warm-up run of its
+first side.  The first pair of a block has the parent first, the second
+the change first, so every side runs once in each position per block.
+The helper prints that position effect per side and metric: the median
+over blocks of (run that went first in its pair) / (run that went
+second) - 1.  A side whose first runs read slower than its second runs
+on an e2e timing has a positive effect there; a gap between the two
+trees smaller than that effect says more about run order than about
+the change.
+
+It exports ``--parent`` into a temporary directory with ``git archive``,
+then runs the command ``BENCHMARK.json`` declares (``python3
+benchmarks/e2e/run.py --workload W --seed S --seconds 15 --trace 0``) in
+that tree and in this one.  The benchmark is read, never edited.
+Standard library only.
 
 Usage::
 
@@ -31,9 +42,67 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+
+SIDES = ("parent", "change")
+
+
+class Slot(NamedTuple):
+    """One run of the schedule.
+
+    ``pair`` is ``None`` for a block's discarded warm-up run; otherwise
+    ``first`` says whether the side runs first within its pair.
+    """
+
+    block: int
+    pair: Optional[int]
+    side: str
+    first: bool
+
+
+def abba_schedule(pairs: int) -> List[Slot]:
+    """The run order for ``pairs`` pairs, in ABBA blocks of two pairs.
+
+    Each block is a warm-up run of the parent, then parent, change
+    (pair ``2b``), then change, parent (pair ``2b + 1``).  An odd count
+    ends with a half block: warm-up, parent, change.
+    """
+    schedule: List[Slot] = []
+    for block in range((pairs + 1) // 2):
+        schedule.append(Slot(block, None, "parent", True))
+        schedule.append(Slot(block, 2 * block, "parent", True))
+        schedule.append(Slot(block, 2 * block, "change", False))
+        if 2 * block + 1 < pairs:
+            schedule.append(Slot(block, 2 * block + 1, "change", True))
+            schedule.append(Slot(block, 2 * block + 1, "parent", False))
+    return schedule
+
+
+def position_effect(
+    measured: Sequence[Tuple[Slot, float]]
+) -> Dict[str, Optional[float]]:
+    """Per side, the median over blocks of first-run / second-run - 1.
+
+    ``measured`` holds the value of one metric for each measured run
+    (warm-up slots are ignored).  Only blocks in which the side ran in
+    both positions count; a side with none, or with a zero second run,
+    reads ``None``.
+    """
+    runs: Dict[Tuple[str, int], Dict[bool, float]] = {}
+    for slot, value in measured:
+        if slot.pair is not None:
+            runs.setdefault((slot.side, slot.block), {})[slot.first] = value
+    effect: Dict[str, Optional[float]] = {}
+    for side in SIDES:
+        ratios = [
+            both[True] / both[False] - 1.0
+            for (name, _), both in sorted(runs.items())
+            if name == side and len(both) == 2 and both[False]
+        ]
+        effect[side] = statistics.median(ratios) if ratios else None
+    return effect
 
 
 def run_once(tree: Path, command: List[str], workload: str, seed: int, seconds: int):
@@ -91,54 +160,81 @@ def report(spec: dict, parent: List[dict], change: List[dict]) -> None:
         )
 
 
+def report_position(spec: dict, measured: List[Tuple[Slot, dict]]) -> None:
+    """Print each side's position effect per end-to-end metric."""
+    print("position effect (first run in its pair / second run - 1, median over blocks)")
+    print(f"{'metric':<24}{'parent':<12}change")
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        effect = position_effect([(slot, run[name]) for slot, run in measured])
+        cells = [
+            "n/a" if effect[side] is None else f"{effect[side]:+.1%}"
+            for side in SIDES
+        ]
+        print(f"{name:<24}{cells[0]:<12}{cells[1]}")
+
+
+def export_tree(ref: str, tree: Path) -> None:
+    """Write the files of commit ``ref`` into the new directory ``tree``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", ref],
+        cwd=ROOT, check=True, capture_output=True,
+    ).stdout
+    tree.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+
+
 def main(argv=None) -> int:
-    """Run the pairs and print the per-metric table."""
+    """Run the pairs and print the per-metric tables."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
+    parser.add_argument("--seed", type=int, default=101, help="seed of the first block")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     command, seconds = spec["command"], spec["run_seconds"]
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
-    tree = scratch / "parent"
-    subprocess.run(
-        ["git", "worktree", "add", "--detach", str(tree), args.parent],
-        cwd=ROOT, check=True, capture_output=True,
-    )
-    runs: Dict[str, List[dict]] = {"parent": [], "change": []}
-    failed = {"parent": [0, 0], "change": [0, 0]}
+    trees = {"parent": scratch / "parent", "change": ROOT}
+    schedule = abba_schedule(args.pairs)
+    by_pair: Dict[str, Dict[int, dict]] = {side: {} for side in SIDES}
+    measured: List[Tuple[Slot, dict]] = []
+    failed = {side: [0, 0] for side in SIDES}
     try:
-        for pair in range(args.pairs):
-            seed = args.seed + pair
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                metrics, attempted, bad = run_once(
-                    tree if side == "parent" else ROOT,
-                    command, args.workload, seed, seconds,
-                )
-                runs[side].append(metrics)
-                failed[side][0] += bad
-                failed[side][1] += attempted
-            print(
-                f"pair {pair + 1}/{args.pairs} seed {seed} first={order[0]}",
-                file=sys.stderr,
+        export_tree(args.parent, trees["parent"])
+        for slot in schedule:
+            seed = args.seed + slot.block
+            metrics, attempted, bad = run_once(
+                trees[slot.side], command, args.workload, seed, seconds
             )
+            failed[slot.side][0] += bad
+            failed[slot.side][1] += attempted
+            if slot.pair is None:
+                label = "warm-up (discarded)"
+            else:
+                by_pair[slot.side][slot.pair] = metrics
+                measured.append((slot, metrics))
+                label = f"pair {slot.pair + 1}/{args.pairs}"
+            print(f"block {slot.block + 1} seed {seed} {slot.side}: {label}", file=sys.stderr)
     finally:
-        subprocess.run(
-            ["git", "worktree", "remove", "--force", str(tree)],
-            cwd=ROOT, capture_output=True,
-        )
         shutil.rmtree(scratch, ignore_errors=True)
     print(
-        f"workload {args.workload}: {args.pairs} pairs vs {args.parent}, "
-        f"seeds {args.seed}..{args.seed + args.pairs - 1}, {seconds}s runs"
+        f"workload {args.workload}: {args.pairs} pairs vs {args.parent} in ABBA "
+        f"blocks, seeds {args.seed}..{args.seed + (args.pairs - 1) // 2}, {seconds}s runs"
     )
-    report(spec, runs["parent"], runs["change"])
-    for side in ("parent", "change"):
-        print(f"{side} failed operations: {failed[side][0]} of {failed[side][1]}")
+    order = range(args.pairs)
+    report(
+        spec,
+        [by_pair["parent"][pair] for pair in order],
+        [by_pair["change"][pair] for pair in order],
+    )
+    report_position(spec, measured)
+    for side in SIDES:
+        print(
+            f"{side} failed operations (warm-ups included): "
+            f"{failed[side][0]} of {failed[side][1]}"
+        )
     return 0
 
 
